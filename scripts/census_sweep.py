@@ -12,26 +12,15 @@ import argparse
 import sys
 import time
 
-from ppdsp.core import Instance, InstanceMeta, LocationGraph, Request, Truck
 from ppdsp.enc_location import encode_location, predicted_counts_location
 from ppdsp.enc_request import encode_request, predicted_counts_request
+from ppdsp.instgen import grid_instance
 from ppdsp.mipir import census
 
 
 def span(text: str) -> range:
     lo, hi = (int(part) for part in text.split(":"))
     return range(lo, hi + 1)
-
-
-def grid_instance(nv: int, n: int, m: int) -> Instance:
-    coords = tuple((float(i), 0.0) for i in range(nv))
-    requests = tuple(Request(id=i, w=1.0, q=1, pickup=1 + i % (nv - 1),
-                             dropoff=1 + (i + 1) % (nv - 1)) for i in range(n))
-    trucks = tuple(Truck(id=t, capacity=25, cost_coefficient=1.0)
-                   for t in range(m))
-    return Instance(graph=LocationGraph(coords=coords), requests=requests,
-                    trucks=trucks,
-                    meta=InstanceMeta(sample="grid", k=0.0, m=m, n=n, seed=0))
 
 
 def main(argv=None) -> int:

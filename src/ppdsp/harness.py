@@ -385,8 +385,9 @@ def run_adapter(adapter: SolverAdapter, lp_text: str, time_limit_s: float
                               capture_output=True, text=True,
                               timeout=time_limit_s + 120)
         if proc.returncode != 0:
+            # the tail: a traceback or error message ends with its reason
             raise SolverProcessError(
-                f"solver exited with {proc.returncode}: {proc.stderr.strip()[:500]}")
+                f"solver exited with {proc.returncode}: {proc.stderr.strip()[-500:]}")
         if not os.path.exists(solution_path):
             raise SolverProcessError("solver produced no solution file")
         with open(solution_path) as fh:

@@ -5,10 +5,22 @@ Usage: ppdsp-highs MODEL.lp SOLUTION.sol [TIME_LIMIT_S]
 
 The solution file starts with '# status <Status>' and '# objective <value>'
 comment lines, followed by one 'name value' line per nonzero variable.
+
+Each constraint is one 'name: terms <op> rhs' line: its comparator <op>
+('<=', '>=' or '=') is its next-to-last token, its rhs a number, and no
+other '<', '>' or '=' appears after the name. A row with text after its rhs
+('c1: x + y <= 3 z'), a second comparator ('c1: x + y <= 3 >= 4',
+'c1: x < y <= 3'), no rhs ('c1: x + y <=') or a rhs that is not a number
+('c1: x <= abc') is refused with an LpParseError naming the line.
+
+Exit status: 0 when a solution file was written; 2 on wrong usage, an
+unreadable model, an LP the parser refuses or an unwritable solution file,
+with the reason on one stderr line 'ppdsp-highs: <reason>'.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import numpy as np
@@ -39,27 +51,48 @@ def _split_sections(text: str) -> dict[str, list[str]]:
     return sections
 
 
+# float() can read a token only if it starts with a sign, a digit or a point,
+# or is an infinity or nan word (or starts outside ASCII, where float() also
+# takes other scripts' digits). Every other token is a variable name, so it
+# is classified without the ValueError that float() would raise for it.
+_NAME_START = frozenset(map(chr, range(128))) - set("0123456789.+-iInN")
+_NONFINITE_WORDS = frozenset({"inf", "infinity", "nan"})
+_COMPARATORS = frozenset({"<=", ">=", "="})
+
+
+def _number(tok: str) -> float | None:
+    """float(tok), or None where float() refuses tok."""
+    if tok[0] in "iInN" and tok.lower() not in _NONFINITE_WORDS:
+        return None
+    try:
+        return float(tok)
+    except ValueError:
+        return None
+
+
 def _parse_terms(tokens: list[str]) -> list[tuple[str, float]]:
     """Parse '3 x + y - 2 z' style linear expressions."""
     terms: list[tuple[str, float]] = []
-    sign = 1.0
-    coef: float | None = None
+    append = terms.append
+    scale = 1.0  # the pending sign times the pending coefficient
+    has_coef = False
     for tok in tokens:
-        if tok == "+":
-            sign, coef = 1.0, None
+        if tok[0] in _NAME_START:
+            append((tok, scale))
+            scale, has_coef = 1.0, False
+        elif tok == "+":
+            scale, has_coef = 1.0, False
         elif tok == "-":
-            sign, coef = -1.0, None
+            scale, has_coef = -1.0, False
+        elif (value := _number(tok)) is None:
+            append((tok, scale))
+            scale, has_coef = 1.0, False
+        elif has_coef:
+            raise LpParseError(f"two consecutive numbers near {tok!r}")
         else:
-            try:
-                value = float(tok)
-            except ValueError:
-                terms.append((tok, sign * (1.0 if coef is None else coef)))
-                sign, coef = 1.0, None
-            else:
-                if coef is not None:
-                    raise LpParseError(f"two consecutive numbers near {tok!r}")
-                coef = value
-    if coef is not None:
+            scale *= value
+            has_coef = True
+    if has_coef:
         raise LpParseError("dangling coefficient at end of expression")
     return terms
 
@@ -89,32 +122,45 @@ def parse_lp(text: str):
     for line in objective_lines:
         _, _, rest = line.partition(":")
         obj_tokens.extend((rest if rest or ":" in line else line).split())
-    objective = _parse_terms(obj_tokens)
+    # what is built here holds no reference cycles, so the cyclic collector
+    # would only re-scan it; pause it, and leave it as the caller had it
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        objective = _parse_terms(obj_tokens)
+        rows = []
+        for line in sections.get("subject to", []):
+            name, colon, rest = line.partition(":")
+            if not colon:
+                raise LpParseError(f"constraint without name: {line!r}")
+            tokens = rest.split()
+            # 'terms <op> rhs', and no other '<', '>' or '=' in the row
+            op = tokens[-2] if len(tokens) >= 2 else None
+            if op not in _COMPARATORS:
+                raise LpParseError(f"constraint does not end in '<op> rhs': {line!r}")
+            if rest.count("<") + rest.count(">") + rest.count("=") != len(op):
+                raise LpParseError(f"constraint with more than one comparator: "
+                                   f"{line!r}")
+            try:
+                rhs = float(tokens[-1])
+                terms = _parse_terms(tokens[:-2])
+            except ValueError as exc:  # LpParseError included
+                raise LpParseError(f"{exc} in constraint {line!r}") from None
+            rows.append((name.strip(), terms, op, rhs))
 
-    rows = []
-    for line in sections.get("subject to", []):
-        name, colon, rest = line.partition(":")
-        if not colon:
-            raise LpParseError(f"constraint without name: {line!r}")
-        tokens = rest.split()
-        op_index = next((i for i, t in enumerate(tokens) if t in ("<=", ">=", "=")),
-                        None)
-        if op_index is None:
-            raise LpParseError(f"constraint without comparator: {line!r}")
-        terms = _parse_terms(tokens[:op_index])
-        rhs = float(tokens[op_index + 1])
-        rows.append((name.strip(), terms, tokens[op_index], rhs))
-
-    bounds: dict[str, tuple[float, float]] = {}
-    for line in sections.get("bounds", []):
-        tokens = line.split()
-        if len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
-            bounds[tokens[2]] = (_bound_value(tokens[0]), _bound_value(tokens[4]))
-        elif len(tokens) == 3 and tokens[1] == "=":
-            value = _bound_value(tokens[2])
-            bounds[tokens[0]] = (value, value)
-        else:
-            raise LpParseError(f"unsupported bound line: {line!r}")
+        bounds: dict[str, tuple[float, float]] = {}
+        for line in sections.get("bounds", []):
+            tokens = line.split()
+            if len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
+                bounds[tokens[2]] = (_bound_value(tokens[0]), _bound_value(tokens[4]))
+            elif len(tokens) == 3 and tokens[1] == "=":
+                value = _bound_value(tokens[2])
+                bounds[tokens[0]] = (value, value)
+            else:
+                raise LpParseError(f"unsupported bound line: {line!r}")
+    finally:
+        if collecting:
+            gc.enable()
 
     integers = [t for line in sections.get("generals", []) for t in line.split()]
     binaries = [t for line in sections.get("binaries", []) for t in line.split()]
@@ -219,16 +265,20 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     model_path, solution_path = args[0], args[1]
     time_limit = float(args[2]) if len(args) == 3 else None
-    with open(model_path) as fh:
-        text = fh.read()
-    status, objective, values = solve_lp_text(text, time_limit)
-    with open(solution_path, "w") as fh:
-        fh.write(f"# status {status}\n")
-        if objective is not None:
-            fh.write(f"# objective {objective!r}\n")
-        for name, value in values.items():
-            if value != 0.0:
-                fh.write(f"{name} {value!r}\n")
+    try:
+        with open(model_path) as fh:
+            text = fh.read()
+        status, objective, values = solve_lp_text(text, time_limit)
+        with open(solution_path, "w") as fh:
+            fh.write(f"# status {status}\n")
+            if objective is not None:
+                fh.write(f"# objective {objective!r}\n")
+            for name, value in values.items():
+                if value != 0.0:
+                    fh.write(f"{name} {value!r}\n")
+    except (LpParseError, OSError) as exc:
+        print(f"ppdsp-highs: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

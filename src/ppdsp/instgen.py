@@ -305,6 +305,19 @@ def generate_family(sample: TsplibSample, k_list: list[float], m: int, seed: int
     return out
 
 
+def grid_instance(nv: int, n: int, m: int) -> Instance:
+    """Cheap structurally-valid instance for census checks only: nv nodes on
+    a line, n unit requests cycling over the non-depot nodes, m trucks."""
+    coords = tuple((float(i), 0.0) for i in range(nv))
+    requests = tuple(Request(id=i, w=1.0, q=1, pickup=1 + i % (nv - 1),
+                             dropoff=1 + (i + 1) % (nv - 1)) for i in range(n))
+    trucks = tuple(Truck(id=t, capacity=25, cost_coefficient=1.0)
+                   for t in range(m))
+    return Instance(graph=LocationGraph(coords=coords), requests=requests,
+                    trucks=trucks,
+                    meta=InstanceMeta(sample="grid", k=0.0, m=m, n=n, seed=0))
+
+
 # --- canonical instance text form ---------------------------------------
 
 def _fmt_float(x: float) -> str:

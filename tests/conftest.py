@@ -67,15 +67,3 @@ def small_random_instance(seed: int) -> Instance:
     meta = InstanceMeta(sample=f"rand{seed}", k=1.0, m=2, n=n, seed=seed)
     return Instance(graph=LocationGraph(coords=coords), requests=tuple(requests),
                     trucks=trucks, meta=meta)
-
-
-def grid_instance(nv: int, n: int, m: int) -> Instance:
-    """Cheap structurally-valid instance for census checks only."""
-    coords = tuple((float(i), 0.0) for i in range(nv))
-    requests = tuple(Request(id=i, w=1.0, q=1, pickup=1 + i % (nv - 1),
-                             dropoff=1 + (i + 1) % (nv - 1)) for i in range(n))
-    trucks = tuple(Truck(id=t, capacity=25, cost_coefficient=1.0)
-                   for t in range(m))
-    return Instance(graph=LocationGraph(coords=coords), requests=requests,
-                    trucks=trucks, meta=InstanceMeta(sample="grid", k=0.0,
-                                                     m=m, n=n, seed=0))

@@ -8,12 +8,13 @@ import random
 import sys
 import time
 
-from conftest import data_path, grid_instance, small_random_instance
+from conftest import data_path, small_random_instance
 from ppdsp.cli import main
 from ppdsp.core import validate_solution, xi
 from ppdsp.enc_location import encode_location, predicted_counts_location
 from ppdsp.enc_request import encode_request, predicted_counts_request
 from ppdsp.harness import SolverAdapter, bench, enumerate_xi, oracle, solve
+from ppdsp.instgen import grid_instance
 from ppdsp.mipir import census
 
 TOL = 1e-6

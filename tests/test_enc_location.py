@@ -1,8 +1,8 @@
 import pytest
 
-from conftest import grid_instance
 from ppdsp.enc_location import (DecodeError, decode_location, encode_location,
                                 predicted_counts_location, x_name, y_name)
+from ppdsp.instgen import grid_instance
 from ppdsp.mipir import VarKind, census, emit_lp
 
 

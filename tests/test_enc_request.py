@@ -1,9 +1,9 @@
 import pytest
 
-from conftest import grid_instance
 from ppdsp.enc_request import (DecodeError, build_graph_map, decode_request,
                                encode_request, predicted_counts_request,
                                x_name)
+from ppdsp.instgen import grid_instance
 from ppdsp.mipir import census, emit_lp
 
 

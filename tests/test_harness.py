@@ -198,6 +198,17 @@ class TestSolve:
         assert outcome.status == "Error"
         assert outcome.objective is None
 
+    def test_error_keeps_the_end_of_long_stderr(self, golden_instance, tmp_path):
+        script = tmp_path / "noisy_solver.py"
+        script.write_text("import sys\n"
+                          "sys.stderr.write('frame\\n' * 200 + 'reason: bad row\\n')\n"
+                          "sys.exit(2)\n")
+        adapter = SolverAdapter(
+            command_template=f"{sys.executable} {script} {{model_path}}")
+        outcome = solve(golden_instance, "location", adapter, 10)
+        assert outcome.status == "Error"
+        assert outcome.error.endswith("reason: bad row")
+
 
 class TestBench:
     def test_encode_only_counts(self, burma14):

@@ -1,0 +1,206 @@
+import gc
+import os
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ppdsp
+from ppdsp.enc_location import encode_location
+from ppdsp.enc_request import encode_request
+from ppdsp.highs_solver import LpParseError, main, parse_lp
+from ppdsp.mipir import ModelBuilder, Sense, VarKind, emit_lp
+from test_mipir import tiny_model
+
+NEG_INF, POS_INF = float("-inf"), float("inf")
+
+
+def expected_parse(model):
+    """What parse_lp must read back from emit_lp(model)."""
+    variables = model.variables
+    objective = [(v.name, v.objective_coefficient) for v in variables
+                 if v.objective_coefficient != 0.0]
+    rows = [(r.name, list(r.terms), r.sense.value, r.rhs) for r in model.rows]
+    bounds = {v.name: (v.lower, v.upper) for v in variables
+              if not (v.kind is VarKind.BINARY and (v.lower, v.upper) == (0.0, 1.0))}
+    integers = [v.name for v in variables if v.kind is VarKind.INTEGER]
+    binaries = [v.name for v in variables if v.kind is VarKind.BINARY]
+    objective = objective or [(variables[0].name, 0.0)]  # emit_lp's "obj: 0 x"
+    return "max", objective, rows, bounds, integers, binaries
+
+
+def reference_terms(tokens):
+    """The exception-driven expression reader the parser had before it
+    classified tokens by their first character: float() decides."""
+    terms = []
+    sign = 1.0
+    coef = None
+    for tok in tokens:
+        if tok == "+":
+            sign, coef = 1.0, None
+        elif tok == "-":
+            sign, coef = -1.0, None
+        else:
+            try:
+                value = float(tok)
+            except ValueError:
+                terms.append((tok, sign * (1.0 if coef is None else coef)))
+                sign, coef = 1.0, None
+            else:
+                if coef is not None:
+                    raise LpParseError(f"two consecutive numbers near {tok!r}")
+                coef = value
+    if coef is not None:
+        raise LpParseError("dangling coefficient at end of expression")
+    return terms
+
+
+def objective_lp(expression: str) -> str:
+    return f"Maximize\n obj: {expression}\nSubject To\nEnd\n"
+
+
+class TestRoundTrip:
+    def test_tiny_model(self):
+        model = tiny_model()
+        assert parse_lp(emit_lp(model)) == expected_parse(model)
+
+    @pytest.mark.parametrize("encode", [encode_location, encode_request])
+    def test_golden_encodings(self, golden_instance, encode):
+        model = encode(golden_instance).model
+        assert parse_lp(emit_lp(model)) == expected_parse(model)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_models(self, data):
+        # names that float() would read as numbers are not variable names
+        names = data.draw(st.lists(
+            st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,5}", fullmatch=True).filter(
+                lambda s: s.lower() not in ("inf", "infinity", "nan")),
+            min_size=2, max_size=8, unique=True))
+        num_vars = data.draw(st.integers(1, len(names) - 1))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        builder = ModelBuilder()
+        for name in names[:num_vars]:
+            kind = data.draw(st.sampled_from(list(VarKind)))
+            if kind is VarKind.BINARY:
+                lower, upper = data.draw(st.sampled_from(
+                    [(0.0, 1.0), (0.0, 0.0), (1.0, 1.0)]))
+            else:
+                lower, upper = sorted(data.draw(st.lists(
+                    finite, min_size=2, max_size=2)))
+                lower = data.draw(st.sampled_from([lower, NEG_INF]))
+                upper = data.draw(st.sampled_from([upper, POS_INF]))
+            builder.add_variable(name, kind, lower, upper, data.draw(finite))
+        for row_name in names[num_vars:]:
+            cols = data.draw(st.lists(st.integers(0, num_vars - 1), min_size=1,
+                                      unique=True))
+            coefs = data.draw(st.lists(finite, min_size=len(cols),
+                                       max_size=len(cols)))
+            builder.add_rows([row_name], [data.draw(st.sampled_from(list(Sense)))],
+                             [data.draw(finite)], [len(cols)], cols, coefs)
+        model = builder.build()
+        assert parse_lp(emit_lp(model)) == expected_parse(model)
+
+
+class TestTokens:
+    @pytest.mark.parametrize("expression,terms", [
+        (".5 x", [("x", 0.5)]),
+        ("1e-3 x", [("x", 0.001)]),
+        ("+2 x", [("x", 2.0)]),
+        ("- -inf x", [("x", POS_INF)]),
+        ("infinity x + Inf y", [("x", POS_INF), ("y", POS_INF)]),
+        ("inflow + 2 nodes - e1", [("inflow", 1.0), ("nodes", 2.0), ("e1", -1.0)]),
+        ("Infinite - NaNa + E5", [("Infinite", 1.0), ("NaNa", -1.0), ("E5", 1.0)]),
+        ("-x + .y", [("-x", 1.0), (".y", 1.0)]),
+    ])
+    def test_numbers_and_names(self, expression, terms):
+        assert parse_lp(objective_lp(expression))[1] == terms
+        assert reference_terms(expression.split()) == terms
+
+    @pytest.mark.parametrize("rhs,value", [
+        ("-inf", NEG_INF), ("infinity", POS_INF), (".5", 0.5), ("1e-3", 0.001),
+        ("+2", 2.0)])
+    def test_rhs(self, rhs, value):
+        rows = parse_lp(objective_lp("x").replace("End", f" c1: x <= {rhs}\nEnd"))[2]
+        assert rows == [("c1", [("x", 1.0)], "<=", value)]
+
+    @given(st.lists(st.one_of(
+        st.sampled_from(["+", "-", "2", "-3", ".5", "1e-3", "1_0", "inf", "-Inf",
+                         "NAN", "infinity", "inflow", "nodes", "e1", "x", "-x",
+                         "١٢"]),
+        st.text(st.characters(blacklist_categories=("Cs",)), min_size=1).filter(
+            lambda tok: tok.split() == [tok]))))
+    @settings(max_examples=300, deadline=None)
+    def test_same_reading_as_float(self, tokens):
+        """Every token reads as float() reads it: a number where float()
+        accepts it, otherwise a variable name."""
+        try:
+            want = reference_terms(tokens)
+        except LpParseError:
+            with pytest.raises(LpParseError):
+                parse_lp(objective_lp(" ".join(tokens)))
+            return
+        got = parse_lp(objective_lp(" ".join(tokens)))[1]
+        assert [(n, repr(c)) for n, c in got] == [(n, repr(c)) for n, c in want]
+
+
+class TestMalformedRows:
+    @pytest.mark.parametrize("row", [
+        "c1: x + y <= 3 z",      # text after the rhs
+        "c1: x + y <= 3 >= 4",   # a second comparator after the rhs
+        "c1: x < y <= 3",        # a comparator inside the expression
+        "c1: x + y <=",          # no rhs
+        "c1: x <= abc",          # a rhs that is not a number
+    ], ids=["trailing-term", "two-comparators", "inner-comparator", "no-rhs",
+            "non-numeric-rhs"])
+    def test_refused_naming_the_line(self, row):
+        with pytest.raises(LpParseError) as info:
+            parse_lp(f"Maximize\n obj: x\nSubject To\n {row}\nEnd\n")
+        assert row in str(info.value)
+
+
+class TestCollector:
+    LP = "Maximize\n obj: x\nSubject To\n c1: x + y <= 3\nEnd\n"
+
+    def test_restored_after_parse_and_refusal(self):
+        assert gc.isenabled()
+        parse_lp(self.LP)
+        assert gc.isenabled()
+        with pytest.raises(LpParseError):
+            parse_lp(self.LP.replace("<= 3", "<= 3 z"))
+        assert gc.isenabled()
+
+    def test_left_disabled_when_the_caller_disabled_it(self):
+        gc.disable()
+        try:
+            parse_lp(self.LP)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+
+class TestMain:
+    def test_malformed_lp_exits_2_with_one_reason_line(self, tmp_path):
+        model = tmp_path / "model.lp"
+        model.write_text("Maximize\n obj: x\nSubject To\n c1: x + y <=\nEnd\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ppdsp.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ppdsp.highs_solver", str(model),
+             str(tmp_path / "solution.sol")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("ppdsp-highs: ")
+        assert "c1: x + y <=" in lines[0]
+        assert not (tmp_path / "solution.sol").exists()
+
+    def test_missing_model_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.lp"
+        assert main([str(missing), str(tmp_path / "solution.sol")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ppdsp-highs: ") and str(missing) in err
+        assert len(err.splitlines()) == 1
