@@ -1,21 +1,23 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 input error, 3 verification failure (validator
-violations, objective mismatch), 4 solver-process error.
+violations, objective mismatch, census mismatch), 4 solver-process error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import logging
 import os
 import sys
 
-from . import enc_location, enc_request, harness, instgen
+from . import harness, instgen
 from .core import DeliveryRoutingSolution, TruckPlan, validate_solution, xi
 from .instgen import ParseError
-from .mipir import census, emit_lp
+from .mipir import emit_lp
 
 log = logging.getLogger("ppdsp")
 
@@ -24,9 +26,6 @@ EXIT_INPUT = 2
 EXIT_VERIFY = 3
 EXIT_SOLVER = 4
 
-FORMULATION_ALIASES = {"loc": "location", "location": "location",
-                       "req": "request", "request": "request"}
-
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_INPUT):
@@ -34,12 +33,16 @@ class CliError(Exception):
         self.code = code
 
 
-def _read_sample(path: str) -> instgen.TsplibSample:
+def _read_text(path: str) -> str:
     try:
         with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}")
+
+
+def _read_sample(path: str) -> instgen.TsplibSample:
+    text = _read_text(path)
     try:
         name = os.path.splitext(os.path.basename(path))[0]
         return instgen.parse_tsplib(text, name=name)
@@ -48,11 +51,7 @@ def _read_sample(path: str) -> instgen.TsplibSample:
 
 
 def _read_instance(path: str):
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}")
+    text = _read_text(path)
     try:
         return instgen.parse_instance(text)
     except ParseError as exc:
@@ -66,11 +65,11 @@ def _adapter_from(template: str | None, dialect: str) -> harness.SolverAdapter |
     return harness.SolverAdapter(command_template=template, dialect=dialect)
 
 
-def _parse_k_list(text: str) -> list[float]:
+def _parse_list(text: str, item, what: str) -> list:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        return [item(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise CliError(f"bad k list {text!r}")
+        raise CliError(f"bad {what} list {text!r}")
 
 
 def _fmt_k(k: float) -> str:
@@ -98,7 +97,7 @@ def solution_from_json(text: str) -> DeliveryRoutingSolution:
 
 def cmd_gen(args) -> int:
     sample = _read_sample(args.tsplib)
-    k_list = _parse_k_list(args.k)
+    k_list = _parse_list(args.k, float, "k")
     try:
         family = instgen.generate_family(sample, k_list, args.m, args.seed)
     except (ValueError, instgen.PairingStalled) as exc:
@@ -114,26 +113,13 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _encode(instance, formulation: str):
-    if formulation == "location":
-        encoding = enc_location.encode_location(instance)
-        predicted = enc_location.predicted_counts_location(
-            instance.graph.num_nodes, len(instance.requests), len(instance.trucks))
-    else:
-        encoding = enc_request.encode_request(instance)
-        predicted = enc_request.predicted_counts_request(
-            len(instance.requests), len(instance.trucks))
-    counts = census(encoding.model)
-    if counts != predicted:
-        raise CliError(f"census {counts} disagrees with predicted {predicted}",
-                       EXIT_VERIFY)
-    return encoding, counts
-
-
 def cmd_build(args) -> int:
     instance = _read_instance(args.instance)
-    formulation = FORMULATION_ALIASES[args.formulation]
-    encoding, counts = _encode(instance, formulation)
+    try:
+        encoding, counts = harness.encode_checked(
+            instance, harness.formulation(args.formulation))
+    except harness.CensusMismatch as exc:
+        raise CliError(str(exc), EXIT_VERIFY)
     with open(args.lp, "w") as fh:
         fh.write(emit_lp(encoding.model))
     print(f"vars={counts[0]} rows={counts[1]}")
@@ -142,18 +128,14 @@ def cmd_build(args) -> int:
 
 def cmd_solve(args) -> int:
     instance = _read_instance(args.instance)
-    formulation = FORMULATION_ALIASES[args.formulation]
     adapter = _adapter_from(args.solver, args.dialect)
     if adapter is None:
         raise CliError("no solver command (use --solver or PPDSP_SOLVER_CMD)")
     try:
-        outcome = harness.solve(instance, formulation, adapter, args.time_limit)
+        outcome = harness.solve(instance, args.formulation, adapter, args.time_limit)
     except harness.ObjectiveMismatch as exc:
         print(f"ObjectiveMismatch: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except harness.SolverProcessError as exc:
-        print(f"solver process error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     print(f"status={outcome.status} objective="
           f"{'' if outcome.objective is None else f'{outcome.objective:.6f}'} "
           f"wall_time_s={outcome.wall_time_s:.3f}")
@@ -172,8 +154,7 @@ def cmd_solve(args) -> int:
 
 def cmd_validate(args) -> int:
     instance = _read_instance(args.instance)
-    with open(args.solution) as fh:
-        solution = solution_from_json(fh.read())
+    solution = solution_from_json(_read_text(args.solution))
     report = validate_solution(solution, instance)
     value = xi(solution, instance)
     print(f"xi={value:g}")
@@ -187,9 +168,8 @@ def cmd_validate(args) -> int:
 
 def cmd_oracle(args) -> int:
     instance = _read_instance(args.instance)
-    limits = harness.OracleLimits(probe_transit=args.probe_transit)
     try:
-        value, solution = harness.oracle(instance, args.semantics, limits,
+        value, solution = harness.oracle(instance, args.semantics,
                                          capacity_rule=args.capacity_rule)
     except harness.OracleRefused as exc:
         raise CliError(str(exc))
@@ -203,9 +183,13 @@ def cmd_oracle(args) -> int:
 
 def cmd_bench(args) -> int:
     samples = [_read_sample(p) for p in args.tsplib]
-    k_list = _parse_k_list(args.k)
-    m_list = [int(v) for v in args.m.split(",") if v.strip()]
-    formulations = [FORMULATION_ALIASES[f] for f in args.formulations.split(",")]
+    k_list = _parse_list(args.k, float, "k")
+    m_list = _parse_list(args.m, int, "m")
+    try:
+        formulations = [harness.formulation(f).name
+                        for f in args.formulations.split(",")]
+    except ValueError as exc:
+        raise CliError(str(exc))
     adapter = _adapter_from(args.solver, args.dialect)
     records = harness.bench(samples, k_list, m_list, formulations, adapter,
                             args.time_limit, args.seed, workers=args.workers)
@@ -220,10 +204,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
-    import csv as csv_mod
-    with open(args.csv) as fh:
-        reader = csv_mod.DictReader(fh)
-        records = []
+    reader = csv.DictReader(io.StringIO(_read_text(args.csv)))
+    records = []
+    try:
         for row in reader:
             records.append(harness.BenchRecord(
                 sample=row["sample"], k=float(row["k"]), m=int(row["m"]),
@@ -233,6 +216,10 @@ def cmd_report(args) -> int:
                 objective=float(row["objective"]) if row["objective"] else None,
                 wall_time_s=float(row["wall_time_s"]) if row["wall_time_s"] else None,
                 seed=int(row["seed"])))
+    except KeyError as exc:
+        raise CliError(f"{args.csv}: no column {exc}")
+    except (TypeError, ValueError) as exc:  # a short row reads as None
+        raise CliError(f"{args.csv}: {exc}")
     text = harness.render_markdown(records, solver_label=args.solver_label,
                                    time_limit_s=args.time_limit)
     if args.out:
@@ -259,13 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="encode an instance to an LP file")
     p.add_argument("--instance", required=True)
-    p.add_argument("--formulation", required=True, choices=sorted(FORMULATION_ALIASES))
+    p.add_argument("--formulation", required=True, choices=sorted(harness.FORMULATIONS))
     p.add_argument("--lp", required=True)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("solve", help="solve an instance via an external solver")
     p.add_argument("--instance", required=True)
-    p.add_argument("--formulation", required=True, choices=sorted(FORMULATION_ALIASES))
+    p.add_argument("--formulation", required=True, choices=sorted(harness.FORMULATIONS))
     p.add_argument("--solver", help="command template; default $PPDSP_SOLVER_CMD")
     p.add_argument("--dialect", default="pairs", choices=["pairs", "xml"])
     p.add_argument("--time-limit", type=float, default=600.0)
@@ -281,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--semantics", default="location", choices=["location", "request"])
     p.add_argument("--capacity-rule", default="strict", choices=["strict", "netted"])
-    p.add_argument("--probe-transit", action="store_true")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("bench", help="run the benchmark grid")

@@ -16,7 +16,8 @@ from .mipir import MipModel, ModelBuilder, Sense, VarKind, place
 
 
 class DecodeError(ValueError):
-    pass
+    """A solver's values do not describe integral routes; raised by both
+    formulations' decoders."""
 
 
 def x_name(t: int, o: int, d: int) -> str:
@@ -183,6 +184,40 @@ def _as_bit(name: str, value: float) -> int:
     raise DecodeError(f"{name} = {value} is not integral")
 
 
+def arc_successors(t: int, num_nodes: int, assignment: dict[str, float]
+                   ) -> dict[int, int]:
+    """The destination of each of truck t's arcs set to 1, by origin."""
+    successor: dict[int, int] = {}
+    for o in range(num_nodes):
+        for d in range(num_nodes):
+            if o == d:
+                continue
+            if _as_bit(x_name(t, o, d), assignment.get(x_name(t, o, d), 0.0)):
+                if o in successor:
+                    raise DecodeError(f"truck {t}: two departures from node {o}")
+                successor[o] = d
+    return successor
+
+
+def walk(t: int, successor: dict[int, int], start: int, end: int) -> tuple[int, ...]:
+    """The node sequence from start to end along successor, which must hold
+    no arc off that route; successor is emptied."""
+    if start not in successor:
+        raise DecodeError(f"truck {t}: no arc leaves the depot")
+    route = [start]
+    node = successor.pop(start)
+    while node != end:
+        route.append(node)
+        if node not in successor:
+            raise DecodeError(f"truck {t}: route dead-ends at node {node}")
+        node = successor.pop(node)
+    route.append(end)
+    if successor:
+        stray = next(iter(successor))
+        raise DecodeError(f"truck {t}: arcs off the depot route at node {stray}")
+    return tuple(route)
+
+
 def decode_location(encoding: LocationEncoding,
                     assignment: dict[str, float]) -> DeliveryRoutingSolution:
     """Rebuild per-truck deliveries from y and routes by walking x arcs from
@@ -194,32 +229,12 @@ def decode_location(encoding: LocationEncoding,
         delivery = frozenset(
             r.id for r in instance.requests
             if _as_bit(y_name(t.id, r.id), assignment.get(y_name(t.id, r.id), 0.0)))
-        successor: dict[int, int] = {}
-        for o in range(nv):
-            for d in range(nv):
-                if o == d:
-                    continue
-                if _as_bit(x_name(t.id, o, d), assignment.get(x_name(t.id, o, d), 0.0)):
-                    if o in successor:
-                        raise DecodeError(f"truck {t.id}: two departures from node {o}")
-                    successor[o] = d
+        successor = arc_successors(t.id, nv, assignment)
         if not successor:
             if delivery:
                 raise DecodeError(f"truck {t.id}: requests assigned but no arcs")
             plans.append(TruckPlan(truck_id=t.id, delivery=delivery, route=()))
             continue
-        if 0 not in successor:
-            raise DecodeError(f"truck {t.id}: arcs present but none leaves the depot")
-        route = [0]
-        node = successor.pop(0)
-        while node != 0:
-            route.append(node)
-            if node not in successor:
-                raise DecodeError(f"truck {t.id}: route dead-ends at node {node}")
-            node = successor.pop(node)
-        route.append(0)
-        if successor:
-            stray = next(iter(successor))
-            raise DecodeError(f"truck {t.id}: arcs off the depot cycle at node {stray}")
-        plans.append(TruckPlan(truck_id=t.id, delivery=delivery, route=tuple(route)))
+        plans.append(TruckPlan(truck_id=t.id, delivery=delivery,
+                               route=walk(t.id, successor, 0, 0)))
     return DeliveryRoutingSolution(plans=tuple(plans))

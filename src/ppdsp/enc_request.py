@@ -11,27 +11,15 @@ Node layout for n requests (N = 2n+2 nodes total):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
 from operator import sub
 
 from .core import DeliveryRoutingSolution, Instance, TruckPlan
+# the variable names, the decode steps and DecodeError are those of the
+# location model; callers may import DecodeError and x_name from either module
+from .enc_location import (DecodeError, arc_successors, h_name, u_name, walk,
+                           x_name)
 from .mipir import MipModel, ModelBuilder, Sense, VarKind, place
-
-
-class DecodeError(ValueError):
-    pass
-
-
-def x_name(t: int, o: int, d: int) -> str:
-    return f"x_t{t}_o{o}_d{d}"
-
-
-def u_name(t: int, v: int) -> str:
-    return f"u_t{t}_v{v}"
-
-
-def h_name(t: int, v: int) -> str:
-    return f"h_t{t}_v{v}"
 
 
 @dataclass(frozen=True)
@@ -234,17 +222,6 @@ def encode_request(instance: Instance) -> RequestEncoding:
     return RequestEncoding(model=b.build(), graph_map=gmap, instance=instance)
 
 
-INT_TOL = 1e-6
-
-
-def _as_bit(name: str, value: float) -> int:
-    if abs(value) <= INT_TOL:
-        return 0
-    if abs(value - 1.0) <= INT_TOL:
-        return 1
-    raise DecodeError(f"{name} = {value} is not integral")
-
-
 def decode_request(encoding: RequestEncoding, assignment: dict[str, float]
                    ) -> tuple[DeliveryRoutingSolution, dict[int, tuple[int, ...]]]:
     """Walk each truck's 0 -> ... -> 2n+1 path; a request is served by the
@@ -260,37 +237,11 @@ def decode_request(encoding: RequestEncoding, assignment: dict[str, float]
     plans = []
     raw_routes: dict[int, tuple[int, ...]] = {}
     for t in instance.trucks:
-        successor: dict[int, int] = {}
-        for o in range(nn):
-            for d in range(nn):
-                if o == d:
-                    continue
-                if _as_bit(x_name(t.id, o, d), assignment.get(x_name(t.id, o, d), 0.0)):
-                    if o in successor:
-                        raise DecodeError(f"truck {t.id}: two departures from node {o}")
-                    successor[o] = d
-        if 0 not in successor:
-            raise DecodeError(f"truck {t.id}: no arc leaves the start depot")
-        node_path = [0]
-        node = successor.pop(0)
-        while node != end:
-            node_path.append(node)
-            if node not in successor:
-                raise DecodeError(f"truck {t.id}: path dead-ends at node {node}")
-            node = successor.pop(node)
-        node_path.append(end)
-        if successor:
-            stray = next(iter(successor))
-            raise DecodeError(f"truck {t.id}: arcs off the depot path at node {stray}")
-        raw_routes[t.id] = tuple(node_path)
+        node_path = walk(t.id, arc_successors(t.id, nn, assignment), 0, end)
+        raw_routes[t.id] = node_path
         delivery = frozenset(gmap.request_of(v) for v in node_path if gmap.is_pickup(v))
-        locations = [gmap.location_of[v] for v in node_path]
-        route: list[int] = []
-        for loc in locations:
-            if not route or route[-1] != loc:
-                route.append(loc)
+        route = tuple(loc for loc, _ in groupby(gmap.location_of[v] for v in node_path))
         if len(route) == 1:  # straight 0 -> end drive, both depots co-located
-            route = []
-        plans.append(TruckPlan(truck_id=t.id, delivery=delivery,
-                               route=tuple(route)))
+            route = ()
+        plans.append(TruckPlan(truck_id=t.id, delivery=delivery, route=route))
     return DeliveryRoutingSolution(plans=tuple(plans)), raw_routes

@@ -5,6 +5,7 @@ both route semantics, golden-value enumeration, and the benchmark grid.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import os
@@ -15,7 +16,7 @@ import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import enc_location, enc_request
 from .core import (DeliveryRoutingSolution, Instance, Truck, TruckPlan,
@@ -38,12 +39,16 @@ class ObjectiveMismatch(RuntimeError):
     pass
 
 
+class CensusMismatch(AssertionError):
+    """An encoded model's variable and row counts differ from its
+    formulation's closed form."""
+
+
 @dataclass(frozen=True)
 class OracleLimits:
     max_requests: int = 5
     max_trucks: int = 3
     max_nodes: int = 8
-    probe_transit: bool = False
 
 
 @dataclass(frozen=True)
@@ -126,35 +131,23 @@ def _route_cost(instance: Instance, truck: Truck, perm: tuple[int, ...]) -> floa
 
 
 def _location_routes(instance: Instance, truck: Truck, delivery: tuple[int, ...],
-                     probe_transit: bool = False, capacity_rule: str = "strict"):
+                     capacity_rule: str = "strict"):
     """Feasible depot-rooted location cycles for one truck, as permutations
-    of the visited node set (optionally padded with transit nodes)."""
+    of the visited node set."""
     needed = sorted({v for rid in delivery
                      for v in (instance.requests[rid].pickup,
                                instance.requests[rid].dropoff)})
-    node_sets = [needed]
-    if probe_transit:
-        others = [v for v in range(1, instance.graph.num_nodes) if v not in needed]
-        for extra_count in range(1, len(others) + 1):
-            for extra in itertools.combinations(others, extra_count):
-                node_sets.append(sorted(needed + list(extra)))
-    for nodes in node_sets:
-        for perm in itertools.permutations(nodes):
-            if _route_feasible(instance, truck, delivery, perm, capacity_rule):
-                yield perm
+    for perm in itertools.permutations(needed):
+        if _route_feasible(instance, truck, delivery, perm, capacity_rule):
+            yield perm
 
 
 def _best_location_route(instance: Instance, truck: Truck, delivery: tuple[int, ...],
-                         probe_transit: bool, capacity_rule: str
+                         capacity_rule: str
                          ) -> Optional[tuple[float, tuple[int, ...]]]:
-    best: Optional[tuple[float, tuple[int, ...]]] = None
-    for perm in _location_routes(instance, truck, delivery, probe_transit,
-                                 capacity_rule):
-        cost = _route_cost(instance, truck, perm)
-        key = (cost, perm)
-        if best is None or key < best:
-            best = key
-    return best
+    return min(((_route_cost(instance, truck, perm), perm)
+                for perm in _location_routes(instance, truck, delivery, capacity_rule)),
+               default=None)
 
 
 def _event_orderings(delivery: tuple[int, ...]):
@@ -219,9 +212,18 @@ def _check_limits(instance: Instance, limits: OracleLimits) -> None:
             f"~{size} assignments)")
 
 
-def _assignments(n: int, m: int):
-    """Request -> truck-or-none vectors, lexicographic (none sorts first)."""
-    yield from itertools.product([None] + list(range(m)), repeat=n)
+def _assignments(instance: Instance):
+    """Every assignment of requests to a truck or to none, as the tuple of
+    request ids each truck delivers; the request -> truck-or-none vectors run
+    in lexicographic order, none sorting first."""
+    n = len(instance.requests)
+    m = len(instance.trucks)
+    for assignment in itertools.product([None] + list(range(m)), repeat=n):
+        deliveries: list[tuple[int, ...]] = [() for _ in range(m)]
+        for rid, tid in enumerate(assignment):
+            if tid is not None:
+                deliveries[tid] = deliveries[tid] + (rid,)
+        yield deliveries
 
 
 def oracle(instance: Instance, semantics: str = "location",
@@ -244,15 +246,9 @@ def oracle(instance: Instance, semantics: str = "location",
     if semantics not in ("location", "request"):
         raise ValueError(f"unknown semantics {semantics!r}")
     _check_limits(instance, limits)
-    n = len(instance.requests)
-    m = len(instance.trucks)
     best_value = 0.0
     best_plans: Optional[tuple[TruckPlan, ...]] = None
-    for assignment in _assignments(n, m):
-        deliveries: list[tuple[int, ...]] = [() for _ in range(m)]
-        for rid, tid in enumerate(assignment):
-            if tid is not None:
-                deliveries[tid] = deliveries[tid] + (rid,)
+    for deliveries in _assignments(instance):
         value = 0.0
         plans: list[TruckPlan] = []
         feasible = True
@@ -262,8 +258,7 @@ def oracle(instance: Instance, semantics: str = "location",
                 plans.append(TruckPlan(t.id, frozenset(), ()))
                 continue
             if semantics == "location":
-                found = _best_location_route(instance, t, delivery,
-                                             limits.probe_transit, capacity_rule)
+                found = _best_location_route(instance, t, delivery, capacity_rule)
             else:
                 found = _best_request_route(instance, t, delivery)
             if found is None:
@@ -287,14 +282,8 @@ def enumerate_xi(instance: Instance, limits: OracleLimits = OracleLimits()
     """Every feasible (assignment, routes) combination under the location
     route semantics, each scored; routes cover exactly the visited node set."""
     _check_limits(instance, limits)
-    n = len(instance.requests)
-    m = len(instance.trucks)
     out: list[tuple[DeliveryRoutingSolution, float]] = []
-    for assignment in _assignments(n, m):
-        deliveries: list[tuple[int, ...]] = [() for _ in range(m)]
-        for rid, tid in enumerate(assignment):
-            if tid is not None:
-                deliveries[tid] = deliveries[tid] + (rid,)
+    for deliveries in _assignments(instance):
         per_truck_routes: list[list[tuple[int, ...]]] = []
         feasible = True
         for t in instance.trucks:
@@ -423,17 +412,81 @@ def request_raw_checks(encoding, raw_routes: dict[int, tuple[int, ...]]) -> list
     return problems
 
 
+# --- formulations ---------------------------------------------------------
+#
+# Each step reaches the encoder's functions, validate_solution and
+# request_raw_checks through their modules when it runs, so a wrapper set on
+# one of those module attributes sees every call.
+
+@dataclass(frozen=True)
+class Formulation:
+    """One MIP formulation: encode(instance) -> encoding; predicted_counts(
+    instance), the closed-form census; decode(encoding, values) -> (solution,
+    raw node sequences or None); audit(encoding, solution, raw) -> problems."""
+
+    name: str
+    aliases: tuple[str, ...]
+    encode: Callable
+    predicted_counts: Callable
+    decode: Callable
+    audit: Callable
+
+
+# every formulation, under its name and under each alias
+FORMULATIONS = {alias: form for form in (
+    Formulation(
+        "location", ("loc",),
+        encode=lambda instance: enc_location.encode_location(instance),
+        predicted_counts=lambda instance: enc_location.predicted_counts_location(
+            instance.graph.num_nodes, len(instance.requests), len(instance.trucks)),
+        decode=lambda encoding, values: (
+            enc_location.decode_location(encoding, values), None),
+        audit=lambda encoding, solution, raw_routes: [
+            str(v) for v in validate_solution(solution, encoding.instance).violations]),
+    Formulation(
+        "request", ("req",),
+        encode=lambda instance: enc_request.encode_request(instance),
+        predicted_counts=lambda instance: enc_request.predicted_counts_request(
+            len(instance.requests), len(instance.trucks)),
+        decode=lambda encoding, values: enc_request.decode_request(encoding, values),
+        audit=lambda encoding, solution, raw_routes: request_raw_checks(
+            encoding, raw_routes)),
+) for alias in (form.name, *form.aliases)}
+
+
+def formulation(name: str) -> Formulation:
+    """The formulation with this name or alias."""
+    try:
+        return FORMULATIONS[name]
+    except KeyError:
+        raise ValueError(f"unknown formulation {name!r}; choose from "
+                         f"{', '.join(sorted(FORMULATIONS))}") from None
+
+
+_formulation = formulation  # for solve(), whose parameter has that name
+
+
+def encode_checked(instance: Instance, form: Formulation):
+    """Encode with `form` and check the census against its closed form;
+    returns (encoding, (variables, rows))."""
+    encoding = form.encode(instance)
+    counts = census(encoding.model)
+    predicted = form.predicted_counts(instance)
+    if counts != predicted:
+        raise CensusMismatch(
+            f"census {counts} disagrees with predicted {predicted} ({form.name}, "
+            f"|V|={instance.graph.num_nodes}, n={len(instance.requests)}, "
+            f"m={len(instance.trucks)})")
+    return encoding, counts
+
+
 def solve(instance: Instance, formulation: str, adapter: SolverAdapter,
           time_limit_s: float = 600.0) -> SolveOutcome:
     """Encode, emit, run the external solver, decode, validate, and
     cross-check the objective against the recomputed profit-cost value."""
     start = time.monotonic()
-    if formulation == "location":
-        encoding = enc_location.encode_location(instance)
-    elif formulation == "request":
-        encoding = enc_request.encode_request(instance)
-    else:
-        raise ValueError(f"unknown formulation {formulation!r}")
+    form = _formulation(formulation)
+    encoding = form.encode(instance)
     lp_text = emit_lp(encoding.model)
     try:
         solution_text, declared = run_adapter(adapter, lp_text, time_limit_s)
@@ -442,25 +495,20 @@ def solve(instance: Instance, formulation: str, adapter: SolverAdapter,
                             wall_time_s=time.monotonic() - start, error=str(exc))
     has_values = any(line.strip() and not line.startswith("#")
                      for line in solution_text.splitlines())
-    status = declared or ("Infeasible" if not has_values else "Optimal")
+    # values without a declared status are a solution, not a proof of optimality
+    status = declared or ("Infeasible" if not has_values else "Feasible")
     if status in ("Infeasible", "TimeLimit", "Error"):
         return SolveOutcome(status=status, objective=None, solution=None,
                             wall_time_s=time.monotonic() - start)
 
     assignment, _warnings = parse_solution(solution_text, encoding.model)
     solver_objective = objective_value(encoding.model, assignment)
-    raw_routes = None
     try:
-        if formulation == "location":
-            decoded = enc_location.decode_location(encoding, assignment)
-            report = validate_solution(decoded, instance)
-            problems = [str(v) for v in report.violations]
-        else:
-            decoded, raw_routes = enc_request.decode_request(encoding, assignment)
-            problems = request_raw_checks(encoding, raw_routes)
-    except (enc_location.DecodeError, enc_request.DecodeError) as exc:
+        decoded, raw_routes = form.decode(encoding, assignment)
+    except enc_location.DecodeError as exc:
         return SolveOutcome(status="Error", objective=solver_objective, solution=None,
                             wall_time_s=time.monotonic() - start, error=str(exc))
+    problems = form.audit(encoding, decoded, raw_routes)
     value = xi(decoded, instance)
     if abs(solver_objective - value) > OBJECTIVE_TOL * max(1.0, abs(value)):
         raise ObjectiveMismatch(
@@ -480,32 +528,19 @@ CSV_HEADER = ["sample", "k", "m", "n", "formulation", "num_vars", "num_rows",
               "status", "objective", "wall_time_s", "seed"]
 
 
-def _bench_cell(instance: Instance, formulation: str,
+def _bench_cell(instance: Instance, form: Formulation,
                 adapter: Optional[SolverAdapter], time_limit_s: float) -> BenchRecord:
     meta = instance.meta
-    if formulation == "location":
-        encoding = enc_location.encode_location(instance)
-        predicted = enc_location.predicted_counts_location(
-            instance.graph.num_nodes, meta.n, meta.m)
-    else:
-        encoding = enc_request.encode_request(instance)
-        predicted = enc_request.predicted_counts_request(meta.n, meta.m)
-    counts = census(encoding.model)
-    if counts != predicted:
-        raise AssertionError(
-            f"census {counts} disagrees with predicted {predicted} "
-            f"({meta.sample}, k={meta.k}, m={meta.m}, {formulation})")
+    _, (num_vars, num_rows) = encode_checked(instance, form)
+    record = functools.partial(BenchRecord, meta.sample, meta.k, meta.m, meta.n,
+                               form.name, num_vars, num_rows, seed=meta.seed)
     if adapter is None:
-        return BenchRecord(meta.sample, meta.k, meta.m, meta.n, formulation,
-                           counts[0], counts[1], "EncodeOnly", None, None, meta.seed)
+        return record("EncodeOnly", None, None)
     try:
-        outcome = solve(instance, formulation, adapter, time_limit_s)
-        return BenchRecord(meta.sample, meta.k, meta.m, meta.n, formulation,
-                           counts[0], counts[1], outcome.status, outcome.objective,
-                           outcome.wall_time_s, meta.seed)
-    except (ObjectiveMismatch, SolverProcessError) as exc:
-        return BenchRecord(meta.sample, meta.k, meta.m, meta.n, formulation,
-                           counts[0], counts[1], "Error", None, None, meta.seed)
+        outcome = solve(instance, form.name, adapter, time_limit_s)
+    except ObjectiveMismatch:
+        return record("Error", None, None)
+    return record(outcome.status, outcome.objective, outcome.wall_time_s)
 
 
 def bench(samples: list[TsplibSample], k_list: list[float], m_list: list[int],
@@ -514,13 +549,14 @@ def bench(samples: list[TsplibSample], k_list: list[float], m_list: list[int],
           ) -> list[BenchRecord]:
     """One record per (sample, k, m, formulation) cell; failures are recorded
     per cell and the run continues."""
-    cells: list[tuple[Instance, str]] = []
+    forms = [formulation(name) for name in formulations]
+    cells: list[tuple[Instance, Formulation]] = []
     for sample in samples:
         for m in m_list:
             family = generate_family(sample, k_list, m, seed)
             for k in sorted(k_list):
-                for formulation in formulations:
-                    cells.append((family[k], formulation))
+                for form in forms:
+                    cells.append((family[k], form))
     if adapter is None or workers <= 1:
         return [_bench_cell(inst, form, adapter, time_limit_s)
                 for inst, form in cells]

@@ -11,11 +11,13 @@ Each constraint is one 'name: terms <op> rhs' line: its comparator <op>
 other '<', '>' or '=' appears after the name. A row with text after its rhs
 ('c1: x + y <= 3 z'), a second comparator ('c1: x + y <= 3 >= 4',
 'c1: x < y <= 3'), no rhs ('c1: x + y <=') or a rhs that is not a number
-('c1: x <= abc') is refused with an LpParseError naming the line.
+('c1: x <= abc') is refused with an LpParseError naming the line, as is a
+bound whose value is not a number ('0 <= x <= abc').
 
-Exit status: 0 when a solution file was written; 2 on wrong usage, an
-unreadable model, an LP the parser refuses or an unwritable solution file,
-with the reason on one stderr line 'ppdsp-highs: <reason>'.
+Exit status: 0 when a solution file was written; 2 on wrong usage, a time
+limit that is not a number, an unreadable or non-UTF-8 model, an LP the
+parser refuses or an unwritable solution file, with the reason on one
+stderr line 'ppdsp-highs: <reason>'.
 """
 
 from __future__ import annotations
@@ -97,13 +99,11 @@ def _parse_terms(tokens: list[str]) -> list[tuple[str, float]]:
     return terms
 
 
-def _bound_value(tok: str) -> float:
-    low = tok.lower()
-    if low in ("-inf", "-infinity"):
-        return float("-inf")
-    if low in ("+inf", "inf", "infinity"):
-        return float("inf")
-    return float(tok)
+def _bound_value(tok: str, line: str) -> float:
+    value = _number(tok)
+    if value is None:
+        raise LpParseError(f"bound value {tok!r} is not a number in {line!r}")
+    return value
 
 
 def parse_lp(text: str):
@@ -152,9 +152,10 @@ def parse_lp(text: str):
         for line in sections.get("bounds", []):
             tokens = line.split()
             if len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
-                bounds[tokens[2]] = (_bound_value(tokens[0]), _bound_value(tokens[4]))
+                bounds[tokens[2]] = (_bound_value(tokens[0], line),
+                                     _bound_value(tokens[4], line))
             elif len(tokens) == 3 and tokens[1] == "=":
-                value = _bound_value(tokens[2])
+                value = _bound_value(tokens[2], line)
                 bounds[tokens[0]] = (value, value)
             else:
                 raise LpParseError(f"unsupported bound line: {line!r}")
@@ -264,7 +265,11 @@ def main(argv: list[str] | None = None) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     model_path, solution_path = args[0], args[1]
-    time_limit = float(args[2]) if len(args) == 3 else None
+    try:
+        time_limit = float(args[2]) if len(args) == 3 else None
+    except ValueError:
+        print(f"ppdsp-highs: time limit {args[2]!r} is not a number", file=sys.stderr)
+        return 2
     try:
         with open(model_path) as fh:
             text = fh.read()
@@ -276,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
             for name, value in values.items():
                 if value != 0.0:
                     fh.write(f"{name} {value!r}\n")
-    except (LpParseError, OSError) as exc:
+    except (LpParseError, OSError, UnicodeDecodeError) as exc:
         print(f"ppdsp-highs: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -20,9 +20,11 @@ from itertools import accumulate, combinations, compress, cycle, groupby, repeat
 from operator import add, eq, gt, is_, ne, sub
 from typing import Iterable, Iterator, Sequence
 
-NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+# inf, infinity and nan, in any case, would read back from LP text as numbers
+_NAME = r"(?!(?i:inf|infinity|nan)(?:\n|\Z))[A-Za-z][A-Za-z0-9_]*"
+NAME_RE = re.compile(_NAME)
 # a whole column of names joined by newlines, checked in one regex pass
-_NAMES_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*(?:\n[A-Za-z][A-Za-z0-9_]*)*")
+_NAMES_RE = re.compile(rf"{_NAME}(?:\n{_NAME})*")
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from conftest import data_path
+from ppdsp import enc_location
 from ppdsp.cli import main
 from ppdsp.enc_request import predicted_counts_request
 from ppdsp.instgen import serialize_instance
@@ -79,6 +80,14 @@ class TestBuild:
     def test_unreadable_instance(self, tmp_path):
         assert main(["build", "--instance", str(tmp_path / "x.instance"),
                      "--formulation", "loc", "--lp", str(tmp_path / "m.lp")]) == 2
+
+    def test_census_mismatch_is_verify_error(self, golden_path, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.setattr(enc_location, "predicted_counts_location",
+                            lambda num_nodes, n, m: (0, 0))
+        assert main(["build", "--instance", golden_path,
+                     "--formulation", "loc", "--lp", str(tmp_path / "m.lp")]) == 3
+        assert "disagrees with predicted (0, 0)" in capsys.readouterr().err
 
 
 class TestSolveValidate:
@@ -173,3 +182,42 @@ class TestBenchReport:
                          "--k", "1,2", "--m", "2,4", "--solver", "none",
                          "--csv", str(p)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def one_reason_line(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert all(fragment in err for fragment in fragments), err
+
+
+class TestInputErrors:
+    """Bad input exits 2 with one reason line, never a traceback."""
+
+    def bench_args(self, *extra):
+        return ["bench", "--tsplib", data_path("burma14.tsp"), "--k", "1",
+                "--solver", "none", *extra]
+
+    def test_unknown_formulation(self, capsys):
+        assert main(self.bench_args("--m", "2", "--formulations", "loc,foo")) == 2
+        one_reason_line(capsys, "'foo'", "loc, location, req, request")
+
+    def test_m_not_a_number(self, capsys):
+        assert main(self.bench_args("--m", "two")) == 2
+        one_reason_line(capsys, "bad m list 'two'")
+
+    def test_missing_solution_file(self, golden_path, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["validate", "--instance", golden_path,
+                     "--solution", missing]) == 2
+        one_reason_line(capsys, missing)
+
+    def test_missing_report_csv(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["report", "--csv", missing]) == 2
+        one_reason_line(capsys, missing)
+
+    def test_report_csv_without_a_column(self, tmp_path, capsys):
+        csv_path = tmp_path / "bench.csv"
+        csv_path.write_text("sample,k,n\nburma14,1,7\n")
+        assert main(["report", "--csv", str(csv_path)]) == 2
+        one_reason_line(capsys, "no column 'm'")

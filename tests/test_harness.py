@@ -1,15 +1,18 @@
+import dataclasses
 import os
 import sys
 
 import pytest
 
 from conftest import small_random_instance
+from ppdsp import enc_location
 from ppdsp.core import (DeliveryRoutingSolution, Instance, InstanceMeta,
                         LocationGraph, Request, Truck, validate_solution, xi)
-from ppdsp.harness import (OracleLimits, OracleRefused, SolverAdapter,
-                           SolverProcessError, bench, enumerate_xi,
-                           normalize_solution_text, oracle, records_to_csv,
-                           render_markdown, run_adapter, solve)
+from ppdsp.harness import (CensusMismatch, OracleLimits, OracleRefused,
+                           SolverAdapter, SolverProcessError, bench,
+                           enumerate_xi, formulation, normalize_solution_text,
+                           oracle, records_to_csv, render_markdown, run_adapter,
+                           solve)
 
 GOLDEN_XI_VALUES = [-2, -1, 0, 0, 0, 1, 1, 2, 2, 2, 3, 4, 4, 5, 7, 7, 7, 8,
                     9, 10, 11]
@@ -185,6 +188,12 @@ class TestSolve:
         assert outcome.objective == 0.0
         assert all(p.route == () for p in outcome.solution.plans)
 
+    def test_values_without_status_line_are_feasible(self, golden_instance, tmp_path):
+        adapter = stub_adapter(tmp_path, "y_t0_r0 0\n")
+        outcome = solve(golden_instance, "location", adapter, 10)
+        assert outcome.status == "Feasible"
+        assert outcome.objective == 0.0
+
     def test_fractional_solution_is_an_error(self, golden_instance, tmp_path):
         adapter = stub_adapter(tmp_path,
                                "# status Optimal\nx_t0_o0_d1 0.5\n")
@@ -234,3 +243,32 @@ class TestBench:
         assert "Obj. [stub, 60s limit]" in text
         assert "**458**" in text   # smaller variable count wins
         assert "**1027**" in text  # smaller row count wins
+
+    def test_census_mismatch_propagates(self, burma14, monkeypatch):
+        # the registry looks the closed form up when it runs, so this reaches it
+        monkeypatch.setattr(enc_location, "predicted_counts_location",
+                            lambda num_nodes, n, m: (0, 0))
+        with pytest.raises(CensusMismatch, match="location"):
+            bench([burma14], [1], [2], ["location"], None, 1, seed=0)
+
+    def test_workers_give_the_serial_records(self, burma14, tmp_path):
+        adapter = stub_adapter(tmp_path, "# status Optimal\n# objective 0.0\n")
+        runs = [bench([burma14], [1, 1.5], [2], ["location", "request"], adapter,
+                      10, seed=0, workers=workers) for workers in (1, 2)]
+        serial, pooled = ([dataclasses.replace(r, wall_time_s=None) for r in run]
+                          for run in runs)
+        assert len(serial) == 4
+        assert pooled == serial
+
+
+class TestFormulation:
+    @pytest.mark.parametrize("name, canonical", [
+        ("loc", "location"), ("location", "location"),
+        ("req", "request"), ("request", "request")])
+    def test_names_and_aliases(self, name, canonical):
+        assert formulation(name).name == canonical
+
+    def test_unknown_name_lists_the_choices(self):
+        with pytest.raises(ValueError, match="'foo'; choose from loc, location, "
+                                             "req, request"):
+            formulation("foo")

@@ -161,6 +161,20 @@ class TestMalformedRows:
         assert row in str(info.value)
 
 
+class TestBounds:
+    @pytest.mark.parametrize("line", ["0 <= x <= abc", "abc <= x <= 1", "x = abc"])
+    def test_value_not_a_number_refused_naming_the_line(self, line):
+        with pytest.raises(LpParseError) as info:
+            parse_lp(f"Maximize\n obj: x\nSubject To\n c1: x <= 3\nBounds\n {line}\nEnd\n")
+        assert line in str(info.value)
+
+    def test_infinite_values(self):
+        lp = ("Maximize\n obj: x + y + z\nSubject To\n c1: x <= 3\nBounds\n"
+              " -inf <= x <= +Infinity\n -INFINITY <= y <= inf\n z = 2\nEnd\n")
+        assert parse_lp(lp)[3] == {"x": (NEG_INF, POS_INF), "y": (NEG_INF, POS_INF),
+                                   "z": (2.0, 2.0)}
+
+
 class TestCollector:
     LP = "Maximize\n obj: x\nSubject To\n c1: x + y <= 3\nEnd\n"
 
@@ -204,3 +218,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("ppdsp-highs: ") and str(missing) in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("content, limit, reason", [
+        (b"\xff\xfe", "10", "codec"),
+        (b"Maximize\n obj: x\nSubject To\n c1: x <= 1\nEnd\n", "abc",
+         "time limit 'abc' is not a number"),
+        (b"Maximize\n obj: x\nSubject To\n c1: x <= 1\nBounds\n 0 <= x <= abc\nEnd\n",
+         "10", "0 <= x <= abc"),
+    ], ids=["not-utf8", "time-limit", "bound"])
+    def test_bad_input_exits_2_with_one_reason_line(self, tmp_path, capsys,
+                                                     content, limit, reason):
+        model = tmp_path / "model.lp"
+        model.write_bytes(content)
+        assert main([str(model), str(tmp_path / "solution.sol"), limit]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ppdsp-highs: ") and reason in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "solution.sol").exists()

@@ -25,6 +25,15 @@ class TestInvariants:
         with pytest.raises(ModelError):
             Variable("1bad", VarKind.BINARY, 0.0, 1.0)
 
+    @pytest.mark.parametrize("name", ["nan", "Inf", "INFINITY"])
+    def test_number_word_is_not_a_name(self, name):
+        with pytest.raises(ModelError):
+            Variable(name, VarKind.BINARY, 0.0, 1.0)
+
+    @pytest.mark.parametrize("name", ["inflow", "info", "nan_x"])
+    def test_name_starting_with_a_number_word(self, name):
+        assert Variable(name, VarKind.BINARY, 0.0, 1.0).name == name
+
     def test_binary_bounds(self):
         with pytest.raises(ModelError):
             Variable("x", VarKind.BINARY, 0.0, 2.0)
@@ -77,6 +86,26 @@ class TestBuildValidation:
         b.add_variable("has space", VarKind.CONTINUOUS)
         with pytest.raises(ModelError, match="illegal variable name"):
             b.build()
+
+    @pytest.mark.parametrize("name", ["nan", "Inf", "INFINITY"])
+    def test_number_word_is_not_a_name(self, name):
+        b = self.builder()
+        b.add_variable(name, VarKind.CONTINUOUS)
+        with pytest.raises(ModelError, match=f"illegal variable name '{name}'"):
+            b.build()
+        b = self.builder()
+        b.add_row(name, [("x", 1.0)], Sense.LE, 1.0)
+        with pytest.raises(ModelError, match=f"illegal row name '{name}'"):
+            b.build()
+
+    def test_names_starting_with_a_number_word(self):
+        b = self.builder()
+        for name in ("inflow", "info", "nan_x"):
+            b.add_variable(name, VarKind.CONTINUOUS)
+            b.add_row(name, [(name, 1.0)], Sense.LE, 1.0)
+        model = b.build()
+        assert model.names[2:] == ["inflow", "info", "nan_x"]
+        assert model.row_names == ["inflow", "info", "nan_x"]
 
     def test_repeated_variable_in_merged_row(self):
         b = self.builder()
