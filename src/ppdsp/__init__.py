@@ -13,7 +13,7 @@ from .harness import (BenchRecord, OracleLimits, SolveOutcome, SolverAdapter,
 from .instgen import (GenerationParams, PairFamily, TsplibSample,
                       generate_family, generate_instance, parse_instance,
                       parse_tsplib, serialize_instance)
-from .mipir import (LinearRow, MipModel, Sense, Variable, VarKind, census,
-                    emit_lp, parse_solution)
+from .mipir import (MipModel, Sense, VarKind, census, emit_lp,
+                    parse_solution)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

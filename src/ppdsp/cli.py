@@ -17,7 +17,7 @@ import sys
 from . import harness, instgen
 from .core import DeliveryRoutingSolution, TruckPlan, validate_solution, xi
 from .instgen import ParseError
-from .mipir import emit_lp
+from .mipir import ModelError, SolutionParseError, emit_lp
 
 log = logging.getLogger("ppdsp")
 
@@ -191,8 +191,13 @@ def cmd_bench(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc))
     adapter = _adapter_from(args.solver, args.dialect)
-    records = harness.bench(samples, k_list, m_list, formulations, adapter,
-                            args.time_limit, args.seed, workers=args.workers)
+    try:
+        records = harness.bench(samples, k_list, m_list, formulations, adapter,
+                                args.time_limit, args.seed, workers=args.workers)
+    except (ModelError, SolutionParseError):
+        raise  # an encoder or solver fault, not bad input
+    except (ValueError, instgen.PairingStalled) as exc:
+        raise CliError(str(exc))
     csv_text = harness.records_to_csv(records)
     if args.csv:
         with open(args.csv, "w") as fh:

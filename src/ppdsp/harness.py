@@ -486,7 +486,12 @@ def solve(instance: Instance, formulation: str, adapter: SolverAdapter,
     cross-check the objective against the recomputed profit-cost value."""
     start = time.monotonic()
     form = _formulation(formulation)
-    encoding = form.encode(instance)
+    return _solve_encoding(form, form.encode(instance), adapter, time_limit_s, start)
+
+
+def _solve_encoding(form: Formulation, encoding, adapter: SolverAdapter,
+                    time_limit_s: float, start: float) -> SolveOutcome:
+    """solve() after encoding; the outcome's wall time runs from `start`."""
     lp_text = emit_lp(encoding.model)
     try:
         solution_text, declared = run_adapter(adapter, lp_text, time_limit_s)
@@ -509,7 +514,7 @@ def solve(instance: Instance, formulation: str, adapter: SolverAdapter,
         return SolveOutcome(status="Error", objective=solver_objective, solution=None,
                             wall_time_s=time.monotonic() - start, error=str(exc))
     problems = form.audit(encoding, decoded, raw_routes)
-    value = xi(decoded, instance)
+    value = xi(decoded, encoding.instance)
     if abs(solver_objective - value) > OBJECTIVE_TOL * max(1.0, abs(value)):
         raise ObjectiveMismatch(
             f"solver objective {solver_objective} != recomputed value {value}")
@@ -531,13 +536,14 @@ CSV_HEADER = ["sample", "k", "m", "n", "formulation", "num_vars", "num_rows",
 def _bench_cell(instance: Instance, form: Formulation,
                 adapter: Optional[SolverAdapter], time_limit_s: float) -> BenchRecord:
     meta = instance.meta
-    _, (num_vars, num_rows) = encode_checked(instance, form)
+    start = time.monotonic()
+    encoding, (num_vars, num_rows) = encode_checked(instance, form)
     record = functools.partial(BenchRecord, meta.sample, meta.k, meta.m, meta.n,
                                form.name, num_vars, num_rows, seed=meta.seed)
     if adapter is None:
         return record("EncodeOnly", None, None)
     try:
-        outcome = solve(instance, form.name, adapter, time_limit_s)
+        outcome = _solve_encoding(form, encoding, adapter, time_limit_s, start)
     except ObjectiveMismatch:
         return record("Error", None, None)
     return record(outcome.status, outcome.objective, outcome.wall_time_s)

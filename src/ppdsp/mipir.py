@@ -3,7 +3,9 @@
 A model is held in columns: one list per variable attribute, and the rows
 as compressed sparse rows (row offsets into column-index and coefficient
 lists). Encoders fill whole families of variables and rows at once through
-ModelBuilder, and the model is validated once, when it is built.
+ModelBuilder.add_variables and add_rows, which refer to variables by column
+index; place lays out the column indices of a row family. The model is
+validated once, when it is built.
 
 Models are not changed once built (nothing writes to a model's lists);
 emission and the census are pure, so a model can be shared freely across
@@ -48,55 +50,6 @@ class ModelError(ValueError):
 
 class SolutionParseError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    kind: VarKind
-    lower: float = 0.0
-    upper: float = POS_INF
-    objective_coefficient: float = 0.0
-
-    def __post_init__(self):
-        if not NAME_RE.fullmatch(self.name):
-            raise ModelError(f"illegal variable name {self.name!r}")
-        if self.kind is VarKind.BINARY and not (0 <= self.lower and self.upper <= 1):
-            raise ModelError(f"binary variable {self.name} has bounds outside [0,1]")
-        if self.lower > self.upper:
-            raise ModelError(f"variable {self.name}: lower bound above upper")
-
-
-@dataclass(frozen=True)
-class LinearRow:
-    name: str
-    terms: tuple[tuple[str, float], ...]
-    sense: Sense
-    rhs: float
-
-    def __post_init__(self):
-        if not NAME_RE.fullmatch(self.name):
-            raise ModelError(f"illegal row name {self.name!r}")
-        if not self.terms:
-            raise ModelError(f"row {self.name} has no terms")
-        if len({v for v, _ in self.terms}) != len(self.terms):
-            seen = set()
-            for var, _ in self.terms:
-                if var in seen:
-                    raise ModelError(f"row {self.name}: repeated variable {var}")
-                seen.add(var)
-
-
-def merge_terms(terms: Iterable[tuple[str, float]]) -> tuple[tuple[str, float], ...]:
-    """Sum coefficients per variable, preserving first-appearance order and
-    dropping exact zeros."""
-    acc: dict[str, float] = {}
-    for var, coef in terms:
-        if var in acc:
-            acc[var] += coef
-        else:
-            acc[var] = coef
-    return tuple(item for item in acc.items() if item[1] != 0.0)
 
 
 def _check_names(names: list[str], what: str) -> None:
@@ -154,7 +107,9 @@ class MipModel:
     coefs: list[float]
 
     def __post_init__(self):
-        """Whole-model checks; each rejects what Variable or LinearRow would."""
+        """Whole-model checks: the columns agree in length, names are legal
+        and distinct, bounds hold, and every row has terms, each naming a
+        declared variable at most once."""
         num_vars, num_rows = len(self.names), len(self.row_names)
         if not (len(self.kinds) == len(self.lowers) == len(self.uppers)
                 == len(self.objective) == num_vars):
@@ -194,24 +149,6 @@ class MipModel:
                     raise ModelError(f"row {self.row_names[i]}: repeated "
                                      f"variable {self.names[j]}")
 
-    @property
-    def variables(self) -> tuple[Variable, ...]:
-        return tuple(map(Variable, self.names, self.kinds, self.lowers,
-                         self.uppers, self.objective))
-
-    @property
-    def rows(self) -> tuple[LinearRow, ...]:
-        names, cols, coefs = self.names, self.cols, self.coefs
-        return tuple(
-            LinearRow(name, tuple(zip([names[j] for j in cols[s:e]], coefs[s:e])),
-                      sense, rhs)
-            for name, s, e, sense, rhs in zip(self.row_names, self.row_start,
-                                              self.row_start[1:], self.senses,
-                                              self.rhs))
-
-    def variable_map(self) -> dict[str, Variable]:
-        return {v.name: v for v in self.variables}
-
 
 def place(offsets: Sequence[int], families: Sequence[int],
           bases: Sequence[int]) -> Iterator[int]:
@@ -228,9 +165,8 @@ class ModelBuilder:
     """Collects a model column by column; build() validates it once.
 
     add_variables and add_rows take one sequence per column and refer to
-    variables by column index. add_variable and add_row are the one-item
-    forms; add_row names its variables, which may be declared after it.
-    build() hands its lists over to the model and starts an empty one.
+    variables by column index. build() hands its lists over to the model
+    and starts an empty one.
     """
 
     def __init__(self):
@@ -245,8 +181,6 @@ class ModelBuilder:
         self._row_start: list[int] = [0]
         self._cols: list[int] = []
         self._coefs: list[float] = []
-        # (position in _cols, variable names) of the rows added by name
-        self._named_terms: list[tuple[int, list[str]]] = []
 
     def add_variables(self, names: Sequence[str], kind: VarKind,
                       lowers: Sequence[float], uppers: Sequence[float],
@@ -262,11 +196,6 @@ class ModelBuilder:
         self._uppers.extend(uppers)
         self._objective.extend(objective)
         return first
-
-    def add_variable(self, name: str, kind: VarKind, lower: float = 0.0,
-                     upper: float = POS_INF, objective: float = 0.0) -> str:
-        self.add_variables((name,), kind, (lower,), (upper,), (objective,))
-        return name
 
     def add_rows(self, names: Sequence[str], senses: Sequence[Sense],
                  rhs: Sequence[float], lengths: Sequence[int],
@@ -291,25 +220,7 @@ class ModelBuilder:
         next(ends)  # the initial value is the previous row's end
         self._row_start.extend(ends)
 
-    def add_row(self, name: str, terms: Iterable[tuple[str, float]],
-                sense: Sense, rhs: float, merged: bool = False) -> None:
-        """merged=True skips coefficient merging for terms the caller
-        guarantees to be duplicate-free with nonzero coefficients (build()
-        still rejects duplicates)."""
-        row_terms = tuple(terms) if merged else merge_terms(terms)
-        self._named_terms.append((len(self._cols), [var for var, _ in row_terms]))
-        self.add_rows((name,), (sense,), (rhs,), (len(row_terms),),
-                      [-1] * len(row_terms), [coef for _, coef in row_terms])
-
     def build(self) -> MipModel:
-        if self._named_terms:
-            index = dict(zip(self._names, range(len(self._names))))
-            for at, variables in self._named_terms:
-                for k, var in enumerate(variables, start=at):
-                    if var not in index:
-                        row = self._row_names[bisect_right(self._row_start, k) - 1]
-                        raise ModelError(f"row {row} references undeclared {var}")
-                    self._cols[k] = index[var]
         model = MipModel(
             names=self._names, kinds=self._kinds, lowers=self._lowers,
             uppers=self._uppers, objective=self._objective,
@@ -429,12 +340,3 @@ def objective_value(model: MipModel, assignment: dict[str, float]) -> float:
     return sum(coef * assignment.get(name, 0.0)
                for name, coef in zip(model.names, model.objective))
 
-
-def row_residual(row: LinearRow, assignment: dict[str, float]) -> float:
-    """How far the row is from holding; 0 when satisfied."""
-    lhs = sum(coef * assignment.get(var, 0.0) for var, coef in row.terms)
-    if row.sense is Sense.LE:
-        return max(0.0, lhs - row.rhs)
-    if row.sense is Sense.GE:
-        return max(0.0, row.rhs - lhs)
-    return abs(lhs - row.rhs)

@@ -5,6 +5,7 @@ and a deterministic random-instance factory sized for the oracle."""
 import os
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -48,6 +49,18 @@ def highs_adapter() -> SolverAdapter:
     return SolverAdapter(
         command_template=(f"{sys.executable} -m ppdsp.highs_solver "
                           "{model_path} {solution_path} {time_limit_s}"))
+
+
+def columns_of(model, name: str) -> SimpleNamespace:
+    """A model's variable or, failing that, row called name, read from the
+    model's columns: kind, lower, upper and objective for a variable; sense
+    and rhs for a row."""
+    if name in model.names:
+        j = model.names.index(name)
+        return SimpleNamespace(kind=model.kinds[j], lower=model.lowers[j],
+                               upper=model.uppers[j], objective=model.objective[j])
+    i = model.row_names.index(name)
+    return SimpleNamespace(sense=model.senses[i], rhs=model.rhs[i])
 
 
 def small_random_instance(seed: int) -> Instance:

@@ -5,10 +5,11 @@ import sys
 import pytest
 
 from conftest import data_path
-from ppdsp import enc_location
+from ppdsp import enc_location, instgen
 from ppdsp.cli import main
 from ppdsp.enc_request import predicted_counts_request
 from ppdsp.instgen import serialize_instance
+from ppdsp.mipir import ModelError, SolutionParseError
 
 HIGHS_TEMPLATE = (f"{sys.executable} -m ppdsp.highs_solver "
                   "{model_path} {solution_path} {time_limit_s}")
@@ -204,6 +205,26 @@ class TestInputErrors:
     def test_m_not_a_number(self, capsys):
         assert main(self.bench_args("--m", "two")) == 2
         one_reason_line(capsys, "bad m list 'two'")
+
+    def test_bench_m_zero(self, capsys):
+        assert main(self.bench_args("--m", "0")) == 2
+        one_reason_line(capsys, "m must be >= 1")
+
+    def test_bench_pairing_stalled(self, capsys, monkeypatch):
+        def stalled(repetition, n, rng):
+            raise instgen.PairingStalled("no valid pairing after 3 reshuffles")
+        monkeypatch.setattr(instgen, "pair_nodes", stalled)
+        assert main(self.bench_args("--m", "2")) == 2
+        one_reason_line(capsys, "no valid pairing after 3 reshuffles")
+
+    @pytest.mark.parametrize("fault", [ModelError, SolutionParseError])
+    def test_bench_program_fault_propagates(self, monkeypatch, fault):
+        # both are ValueErrors too, but neither is bad input
+        def broken(instance):
+            raise fault("a fault of the program")
+        monkeypatch.setattr(enc_location, "encode_location", broken)
+        with pytest.raises(fault, match="a fault of the program"):
+            main(self.bench_args("--m", "2", "--formulations", "location"))
 
     def test_missing_solution_file(self, golden_path, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")

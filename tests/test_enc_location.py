@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import columns_of
 from ppdsp.enc_location import (DecodeError, decode_location, encode_location,
                                 predicted_counts_location, x_name, y_name)
 from ppdsp.instgen import grid_instance
@@ -33,21 +34,20 @@ class TestCensus:
 class TestModelShape:
     def test_diagonal_arcs_fixed_to_zero(self, golden_instance):
         model = encode_location(golden_instance).model
-        vmap = model.variable_map()
         for t in (0, 1):
             for v in range(4):
-                assert vmap[x_name(t, v, v)].upper == 0.0
+                assert columns_of(model, x_name(t, v, v)).upper == 0.0
 
     def test_objective_signs(self, golden_instance):
-        vmap = encode_location(golden_instance).model.variable_map()
-        assert vmap[y_name(0, 0)].objective_coefficient == 13.0
-        assert vmap[x_name(0, 1, 3)].objective_coefficient == -7.0
+        model = encode_location(golden_instance).model
+        assert columns_of(model, y_name(0, 0)).objective == 13.0
+        assert columns_of(model, x_name(0, 1, 3)).objective == -7.0
 
     def test_u_and_h_bounds(self, golden_instance):
-        vmap = encode_location(golden_instance).model.variable_map()
-        u = vmap["u_t0_v1"]
+        model = encode_location(golden_instance).model
+        u = columns_of(model, "u_t0_v1")
         assert u.kind is VarKind.INTEGER and (u.lower, u.upper) == (0.0, 2.0)
-        h = vmap["h_t1_v2"]
+        h = columns_of(model, "h_t1_v2")
         assert h.kind is VarKind.CONTINUOUS and (h.lower, h.upper) == (0.0, 3.0)
 
     def test_emit_is_deterministic(self, golden_instance):
@@ -58,7 +58,7 @@ class TestModelShape:
 
 def golden_assignment(encoding):
     """x/y assignment for the plan t0:{r0,r1} 0-1-2-3-0, t1:{r2} 0-2-3-0."""
-    values = {v.name: 0.0 for v in encoding.model.variables}
+    values = dict.fromkeys(encoding.model.names, 0.0)
     for t, route in ((0, (0, 1, 2, 3, 0)), (1, (0, 2, 3, 0))):
         for o, d in zip(route, route[1:]):
             values[x_name(t, o, d)] = 1.0
@@ -103,7 +103,7 @@ class TestDecode:
 
     def test_assignment_without_arcs_rejected(self, golden_instance):
         encoding = encode_location(golden_instance)
-        values = {v.name: 0.0 for v in encoding.model.variables}
+        values = dict.fromkeys(encoding.model.names, 0.0)
         values[y_name(0, 0)] = 1.0
         with pytest.raises(DecodeError):
             decode_location(encoding, values)

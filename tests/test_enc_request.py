@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import columns_of
 from ppdsp.enc_request import (DecodeError, build_graph_map, decode_request,
                                encode_request, predicted_counts_request,
                                x_name)
@@ -45,37 +46,39 @@ class TestCensus:
 
 class TestModelShape:
     def test_speedup_fixings(self, golden_instance):
-        vmap = encode_request(golden_instance).model.variable_map()
-        assert vmap[x_name(0, 0, 4)].upper == 0.0  # depot straight to a dropoff
-        assert vmap[x_name(0, 1, 7)].upper == 0.0  # pickup straight to end
-        assert vmap[x_name(0, 4, 0)].upper == 0.0  # return to start depot
-        assert vmap[x_name(0, 7, 1)].upper == 0.0  # departure from end depot
-        assert vmap[x_name(0, 0, 7)].upper == 1.0  # idle drive stays open
+        model = encode_request(golden_instance).model
+        upper = lambda name: columns_of(model, name).upper
+        assert upper(x_name(0, 0, 4)) == 0.0  # depot straight to a dropoff
+        assert upper(x_name(0, 1, 7)) == 0.0  # pickup straight to end
+        assert upper(x_name(0, 4, 0)) == 0.0  # return to start depot
+        assert upper(x_name(0, 7, 1)) == 0.0  # departure from end depot
+        assert upper(x_name(0, 0, 7)) == 1.0  # idle drive stays open
 
     def test_oversized_request_is_barred_not_infeasible(self, golden_instance):
         # request 0 (q=4) exceeds truck 1's capacity 3: every truck-1 arc
         # touching its nodes is fixed to 0 and the load box is relaxed
-        vmap = encode_request(golden_instance).model.variable_map()
-        assert vmap[x_name(1, 0, 1)].upper == 0.0
-        assert vmap[x_name(1, 4, 7)].upper == 0.0
-        assert (vmap["h_t1_v1"].lower, vmap["h_t1_v1"].upper) == (0.0, 3.0)
+        model = encode_request(golden_instance).model
+        assert columns_of(model, x_name(1, 0, 1)).upper == 0.0
+        assert columns_of(model, x_name(1, 4, 7)).upper == 0.0
+        h = columns_of(model, "h_t1_v1")
+        assert (h.lower, h.upper) == (0.0, 3.0)
         # reachable pickup keeps the verbatim box
-        assert (vmap["h_t1_v2"].lower, vmap["h_t1_v2"].upper) == (2.0, 3.0)
+        h = columns_of(model, "h_t1_v2")
+        assert (h.lower, h.upper) == (2.0, 3.0)
 
     def test_barred_load_rows_stay_satisfiable(self, golden_instance):
         model = encode_request(golden_instance).model
-        rows = {r.name: r for r in model.rows}
         # both directions between two barred-for-t1 nodes must admit h in [0,3]
-        assert rows["ca9_t1_o1_d4"].rhs <= 0.0
-        assert rows["ca9_t1_o4_d1"].rhs <= 0.0
+        assert columns_of(model, "ca9_t1_o1_d4").rhs <= 0.0
+        assert columns_of(model, "ca9_t1_o4_d1").rhs <= 0.0
 
     def test_objective_merges_payment_into_departure_arcs(self, golden_instance):
-        vmap = encode_request(golden_instance).model.variable_map()
+        model = encode_request(golden_instance).model
         inst = golden_instance
         # leaving pickup node 1 (request 0, at location a) toward node 3
         # (pickup of request 2 at location b) pays w0 minus cost(a,b)
         expected = inst.requests[0].w - inst.arc_cost(inst.trucks[0], 1, 2)
-        assert vmap[x_name(0, 1, 3)].objective_coefficient == pytest.approx(expected)
+        assert columns_of(model, x_name(0, 1, 3)).objective == pytest.approx(expected)
 
     def test_emit_is_deterministic(self, golden_instance):
         a = emit_lp(encode_request(golden_instance).model)
@@ -84,7 +87,7 @@ class TestModelShape:
 
 
 def assignment_for_paths(encoding, paths):
-    values = {v.name: 0.0 for v in encoding.model.variables}
+    values = dict.fromkeys(encoding.model.names, 0.0)
     for t, path in paths.items():
         for o, d in zip(path, path[1:]):
             values[x_name(t, o, d)] = 1.0

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import small_random_instance
-from ppdsp import enc_location
+from ppdsp import enc_location, enc_request
 from ppdsp.core import (DeliveryRoutingSolution, Instance, InstanceMeta,
                         LocationGraph, Request, Truck, validate_solution, xi)
 from ppdsp.harness import (CensusMismatch, OracleLimits, OracleRefused,
@@ -250,6 +250,17 @@ class TestBench:
                             lambda num_nodes, n, m: (0, 0))
         with pytest.raises(CensusMismatch, match="location"):
             bench([burma14], [1], [2], ["location"], None, 1, seed=0)
+
+    def test_one_encode_per_solved_cell(self, burma14, tmp_path, monkeypatch):
+        encoded = []
+        for module, name in ((enc_location, "encode_location"),
+                             (enc_request, "encode_request")):
+            encode = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda instance, encode=encode, name=name:
+                                encoded.append(name) or encode(instance))
+        adapter = stub_adapter(tmp_path, "# status Optimal\n# objective 0.0\n")
+        bench([burma14], [1], [2], ["location", "request"], adapter, 10, seed=0)
+        assert encoded == ["encode_location", "encode_request"]
 
     def test_workers_give_the_serial_records(self, burma14, tmp_path):
         adapter = stub_adapter(tmp_path, "# status Optimal\n# objective 0.0\n")

@@ -19,15 +19,22 @@ NEG_INF, POS_INF = float("-inf"), float("inf")
 
 def expected_parse(model):
     """What parse_lp must read back from emit_lp(model)."""
-    variables = model.variables
-    objective = [(v.name, v.objective_coefficient) for v in variables
-                 if v.objective_coefficient != 0.0]
-    rows = [(r.name, list(r.terms), r.sense.value, r.rhs) for r in model.rows]
-    bounds = {v.name: (v.lower, v.upper) for v in variables
-              if not (v.kind is VarKind.BINARY and (v.lower, v.upper) == (0.0, 1.0))}
-    integers = [v.name for v in variables if v.kind is VarKind.INTEGER]
-    binaries = [v.name for v in variables if v.kind is VarKind.BINARY]
-    objective = objective or [(variables[0].name, 0.0)]  # emit_lp's "obj: 0 x"
+    names, kinds = model.names, model.kinds
+    objective = [(name, coef) for name, coef in zip(names, model.objective)
+                 if coef != 0.0]
+    rows = [(name, [(names[j], coef) for j, coef in zip(model.cols[s:e],
+                                                         model.coefs[s:e])],
+             sense.value, rhs)
+            for name, s, e, sense, rhs in zip(model.row_names, model.row_start,
+                                              model.row_start[1:], model.senses,
+                                              model.rhs)]
+    bounds = {name: (lower, upper)
+              for name, kind, lower, upper in zip(names, kinds, model.lowers,
+                                                  model.uppers)
+              if not (kind is VarKind.BINARY and (lower, upper) == (0.0, 1.0))}
+    integers = [name for name, kind in zip(names, kinds) if kind is VarKind.INTEGER]
+    binaries = [name for name, kind in zip(names, kinds) if kind is VarKind.BINARY]
+    objective = objective or [(names[0], 0.0)]  # emit_lp's "obj: 0 x"
     return "max", objective, rows, bounds, integers, binaries
 
 
@@ -92,7 +99,8 @@ class TestRoundTrip:
                     finite, min_size=2, max_size=2)))
                 lower = data.draw(st.sampled_from([lower, NEG_INF]))
                 upper = data.draw(st.sampled_from([upper, POS_INF]))
-            builder.add_variable(name, kind, lower, upper, data.draw(finite))
+            builder.add_variables([name], kind, [lower], [upper],
+                                  [data.draw(finite)])
         for row_name in names[num_vars:]:
             cols = data.draw(st.lists(st.integers(0, num_vars - 1), min_size=1,
                                       unique=True))

@@ -1,67 +1,101 @@
+import os
+import subprocess
+import sys
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppdsp.mipir import (LinearRow, MipModel, ModelBuilder, ModelError, Sense,
-                         SolutionParseError, Variable, VarKind, census,
-                         emit_lp, merge_terms, objective_value,
-                         parse_solution, place, row_residual)
+import ppdsp
+from ppdsp.mipir import (POS_INF, MipModel, ModelBuilder, ModelError, Sense,
+                         SolutionParseError, VarKind, census, emit_lp,
+                         objective_value, parse_solution, place)
 
 
 def tiny_model() -> MipModel:
     b = ModelBuilder()
-    b.add_variable("x1", VarKind.BINARY, 0.0, 1.0, objective=3.0)
-    b.add_variable("x2", VarKind.BINARY, 0.0, 1.0, objective=-2.5)
-    b.add_variable("u", VarKind.INTEGER, 0.0, 4.0)
-    b.add_variable("h", VarKind.CONTINUOUS, 1.0, 6.0)
-    b.add_row("r1", [("x1", 1.0), ("x2", 1.0)], Sense.LE, 1.0)
-    b.add_row("r2", [("u", 1.0), ("x1", -5.0)], Sense.GE, -4.0)
-    b.add_row("r3", [("h", 1.0), ("u", -1.0)], Sense.EQ, 1.0)
+    b.add_variables(["x1", "x2"], VarKind.BINARY, [0.0, 0.0], [1.0, 1.0],
+                    [3.0, -2.5])
+    b.add_variables(["u"], VarKind.INTEGER, [0.0], [4.0], [0.0])
+    b.add_variables(["h"], VarKind.CONTINUOUS, [1.0], [6.0], [0.0])
+    # columns: x1 0, x2 1, u 2, h 3
+    b.add_rows(["r1", "r2", "r3"], [Sense.LE, Sense.GE, Sense.EQ],
+               [1.0, -4.0, 1.0], [2, 2, 2], [0, 1, 2, 0, 3, 2],
+               [1.0, 1.0, 1.0, -5.0, 1.0, -1.0])
     return b.build()
 
 
+def columns_model(names, kind, lowers, uppers, rows=(), row_names=None
+                  ) -> MipModel:
+    """A MipModel made straight from its columns: variables of one kind,
+    objective 0, and rows given as column-index lists, all `<= 0` with unit
+    coefficients, named r0, r1, ... unless row_names is given."""
+    cols = [j for terms in rows for j in terms]
+    return MipModel(
+        names=list(names), kinds=[kind] * len(names), lowers=list(lowers),
+        uppers=list(uppers), objective=[0.0] * len(names),
+        row_names=list(row_names or (f"r{i}" for i in range(len(rows)))),
+        senses=[Sense.LE] * len(rows), rhs=[0.0] * len(rows),
+        row_start=list(accumulate(map(len, rows), initial=0)),
+        cols=cols, coefs=[1.0] * len(cols))
+
+
+def add_free(b: ModelBuilder, *names: str) -> int:
+    """Continuous variables on [0, inf) with objective 0; their first column."""
+    return b.add_variables(names, VarKind.CONTINUOUS, [0.0] * len(names),
+                           [POS_INF] * len(names), [0.0] * len(names))
+
+
+def add_unit_rows(b: ModelBuilder, names, lengths, cols) -> None:
+    """Rows `... <= 1` with unit coefficients."""
+    b.add_rows(names, [Sense.LE] * len(names), [1.0] * len(names), lengths,
+               cols, [1.0] * len(cols))
+
+
 class TestInvariants:
+    """One variable or one row per model, made straight from columns."""
+
     def test_bad_variable_name(self):
-        with pytest.raises(ModelError):
-            Variable("1bad", VarKind.BINARY, 0.0, 1.0)
+        with pytest.raises(ModelError, match="illegal variable name '1bad'"):
+            columns_model(["1bad"], VarKind.BINARY, [0.0], [1.0])
 
     @pytest.mark.parametrize("name", ["nan", "Inf", "INFINITY"])
     def test_number_word_is_not_a_name(self, name):
-        with pytest.raises(ModelError):
-            Variable(name, VarKind.BINARY, 0.0, 1.0)
+        with pytest.raises(ModelError, match=f"illegal variable name '{name}'"):
+            columns_model([name], VarKind.BINARY, [0.0], [1.0])
 
     @pytest.mark.parametrize("name", ["inflow", "info", "nan_x"])
     def test_name_starting_with_a_number_word(self, name):
-        assert Variable(name, VarKind.BINARY, 0.0, 1.0).name == name
+        assert columns_model([name], VarKind.BINARY, [0.0], [1.0]).names == [name]
 
     def test_binary_bounds(self):
-        with pytest.raises(ModelError):
-            Variable("x", VarKind.BINARY, 0.0, 2.0)
+        with pytest.raises(ModelError, match="binary variable x has bounds"):
+            columns_model(["x"], VarKind.BINARY, [0.0], [2.0])
 
     def test_crossed_bounds(self):
-        with pytest.raises(ModelError):
-            Variable("x", VarKind.CONTINUOUS, 3.0, 1.0)
+        with pytest.raises(ModelError, match="variable x: lower bound above upper"):
+            columns_model(["x"], VarKind.CONTINUOUS, [3.0], [1.0])
 
     def test_row_needs_terms(self):
-        with pytest.raises(ModelError):
-            LinearRow("r", (), Sense.LE, 0.0)
+        with pytest.raises(ModelError, match="row r0 has no terms"):
+            columns_model(["x"], VarKind.BINARY, [0.0], [1.0], rows=[[]])
 
     def test_row_rejects_duplicate_variable(self):
-        with pytest.raises(ModelError):
-            LinearRow("r", (("x", 1.0), ("x", 2.0)), Sense.LE, 0.0)
+        with pytest.raises(ModelError, match="row r0: repeated variable x"):
+            columns_model(["x"], VarKind.BINARY, [0.0], [1.0], rows=[[0, 0]])
 
     def test_model_rejects_undeclared_variable(self):
         b = ModelBuilder()
-        b.add_variable("x", VarKind.BINARY, 0.0, 1.0)
-        b.add_row("r", [("ghost", 1.0)], Sense.LE, 1.0)
-        with pytest.raises(ModelError):
+        add_free(b, "x")
+        add_unit_rows(b, ["r"], [1], [1])
+        with pytest.raises(ModelError, match="row r references undeclared variable 1"):
             b.build()
 
     def test_model_rejects_duplicate_variable_names(self):
         b = ModelBuilder()
-        b.add_variable("x", VarKind.BINARY, 0.0, 1.0)
-        b.add_variable("x", VarKind.BINARY, 0.0, 1.0)
-        with pytest.raises(ModelError):
+        add_free(b, "x", "x")
+        with pytest.raises(ModelError, match="duplicate variable names"):
             b.build()
 
 
@@ -71,72 +105,71 @@ class TestBuildValidation:
     @staticmethod
     def builder() -> ModelBuilder:
         b = ModelBuilder()
-        b.add_variable("x", VarKind.BINARY, 0.0, 1.0)
-        b.add_variable("y", VarKind.BINARY, 0.0, 1.0)
+        b.add_variables(["x", "y"], VarKind.BINARY, [0.0, 0.0], [1.0, 1.0],
+                        [0.0, 0.0])
         return b
 
     def test_illegal_row_name(self):
         b = self.builder()
-        b.add_row("1bad", [("x", 1.0)], Sense.LE, 1.0)
+        add_unit_rows(b, ["1bad"], [1], [0])
         with pytest.raises(ModelError, match="illegal row name '1bad'"):
             b.build()
 
     def test_illegal_variable_name(self):
         b = self.builder()
-        b.add_variable("has space", VarKind.CONTINUOUS)
+        add_free(b, "has space")
         with pytest.raises(ModelError, match="illegal variable name"):
             b.build()
 
     @pytest.mark.parametrize("name", ["nan", "Inf", "INFINITY"])
     def test_number_word_is_not_a_name(self, name):
         b = self.builder()
-        b.add_variable(name, VarKind.CONTINUOUS)
+        add_free(b, name)
         with pytest.raises(ModelError, match=f"illegal variable name '{name}'"):
             b.build()
         b = self.builder()
-        b.add_row(name, [("x", 1.0)], Sense.LE, 1.0)
+        add_unit_rows(b, [name], [1], [0])
         with pytest.raises(ModelError, match=f"illegal row name '{name}'"):
             b.build()
 
     def test_names_starting_with_a_number_word(self):
         b = self.builder()
-        for name in ("inflow", "info", "nan_x"):
-            b.add_variable(name, VarKind.CONTINUOUS)
-            b.add_row(name, [(name, 1.0)], Sense.LE, 1.0)
+        first = add_free(b, "inflow", "info", "nan_x")
+        add_unit_rows(b, ["inflow", "info", "nan_x"], [1, 1, 1],
+                      [first, first + 1, first + 2])
         model = b.build()
         assert model.names[2:] == ["inflow", "info", "nan_x"]
         assert model.row_names == ["inflow", "info", "nan_x"]
 
-    def test_repeated_variable_in_merged_row(self):
+    def test_repeated_variable_in_a_row(self):
         b = self.builder()
-        b.add_row("r", [("x", 1.0), ("y", 1.0), ("x", 2.0)], Sense.LE, 1.0,
-                  merged=True)
+        add_unit_rows(b, ["r"], [3], [0, 1, 0])
         with pytest.raises(ModelError, match="row r: repeated variable x"):
             b.build()
 
     def test_binary_bounds_outside_unit_interval(self):
         b = self.builder()
-        b.add_variable("z", VarKind.BINARY, 0.0, 2.0)
+        b.add_variables(["z"], VarKind.BINARY, [0.0], [2.0], [0.0])
         with pytest.raises(ModelError, match="binary variable z"):
             b.build()
 
     def test_crossed_bounds(self):
         b = self.builder()
-        b.add_variable("h", VarKind.CONTINUOUS, 3.0, 1.0)
+        b.add_variables(["h"], VarKind.CONTINUOUS, [3.0], [1.0], [0.0])
         with pytest.raises(ModelError, match="variable h: lower bound above upper"):
             b.build()
 
     def test_row_needs_terms(self):
         b = self.builder()
-        b.add_row("r", [("x", 1.0), ("x", -1.0)], Sense.LE, 0.0)  # merges to nothing
+        add_unit_rows(b, ["r"], [0], [])
         with pytest.raises(ModelError, match="row r has no terms"):
             b.build()
 
     @pytest.mark.parametrize("width", [2, 3, 4, 9])
     def test_repeat_found_in_a_run_of_bulk_rows(self, width):
-        # rows of up to three terms are compared position by position across
-        # their run, longer rows with a set each: the repeat in the last row
-        # of a run must be found either way
+        # a run of rows of up to three terms is checked by comparing term
+        # positions across the whole run, a longer row by a set of its
+        # terms: the repeat in the last row of a run must be found either way
         b = ModelBuilder()
         first = b.add_variables([f"v{j}" for j in range(width)], VarKind.CONTINUOUS,
                                 [0.0] * width, [1.0] * width, [0.0] * width)
@@ -160,49 +193,85 @@ class TestBuildValidation:
             b.add_rows(["r"], [Sense.LE], [1.0], [1], [0, 1], [1.0, 1.0])
 
     def test_bulk_build_matches_row_by_row(self):
+        # the same rows as tiny_model(), their columns laid out by place
         bulk = ModelBuilder()
         first = bulk.add_variables(["x1", "x2"], VarKind.BINARY, [0.0, 0.0],
                                    [1.0, 1.0], [3.0, -2.5])
-        bulk.add_variable("u", VarKind.INTEGER, 0.0, 4.0)
-        bulk.add_variable("h", VarKind.CONTINUOUS, 1.0, 6.0)
+        bulk.add_variables(["u"], VarKind.INTEGER, [0.0], [4.0], [0.0])
+        bulk.add_variables(["h"], VarKind.CONTINUOUS, [1.0], [6.0], [0.0])
         bases = [first, first + 2]  # family 0: x1, x2; family 1: u, h
+        cols = list(place([0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 1, 1], bases))
+        assert cols == tiny_model().cols == [0, 1, 2, 0, 3, 2]
         bulk.add_rows(["r1", "r2", "r3"], [Sense.LE, Sense.GE, Sense.EQ],
-                      [1.0, -4.0, 1.0], [2, 2, 2],
-                      place([0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 1, 1], bases),
+                      [1.0, -4.0, 1.0], [2, 2, 2], cols,
                       [1.0, 1.0, 1.0, -5.0, 1.0, -1.0])
         model = bulk.build()
         assert model == tiny_model()
         assert emit_lp(model) == emit_lp(tiny_model())
 
 
-class TestMergeTerms:
-    def test_merges_and_drops_zero(self):
-        assert merge_terms([("a", 1.0), ("b", 2.0), ("a", -1.0)]) == (("b", 2.0),)
+def reference_refusal(names, row_names, rows) -> str | None:
+    """What MipModel refuses in a model's rows, one row at a time: the first
+    empty row; else the first term naming an undeclared variable; else the
+    first row naming a variable twice, with the first variable seen again."""
+    for name, terms in zip(row_names, rows):
+        if not terms:
+            return f"row {name} has no terms"
+    for name, terms in zip(row_names, rows):
+        for j in terms:
+            if not 0 <= j < len(names):
+                return f"row {name} references undeclared variable {j}"
+    for name, terms in zip(row_names, rows):
+        seen = set()
+        for j in terms:
+            if j in seen:
+                return f"row {name}: repeated variable {names[j]}"
+            seen.add(j)
+    return None
 
-    def test_preserves_first_appearance_order(self):
-        assert merge_terms([("b", 1.0), ("a", 1.0), ("b", 1.0)]) == (
-            ("b", 2.0), ("a", 1.0))
 
-    @given(st.lists(st.tuples(st.sampled_from("abc"),
-                              st.integers(-3, 3).map(float)), max_size=8))
-    @settings(max_examples=50, deadline=None)
-    def test_sums_per_variable(self, terms):
-        merged = dict(merge_terms(terms))
-        for var in "abc":
-            total = sum(c for v, c in terms if v == var)
-            assert merged.get(var, 0.0) == total
+@st.composite
+def row_runs(draw):
+    """(variable count, rows): runs of rows of one width, 0-9 terms, each
+    row of distinct columns; then one row may get a repeated column or a
+    column out of range. A lone fault is the one a check that misses some
+    term positions or rows would let through."""
+    num_vars = draw(st.integers(9, 12))
+    widths = st.sampled_from([0, *range(1, 10), *range(1, 10)])
+    rows = [draw(st.lists(st.integers(0, num_vars - 1), unique=True,
+                          min_size=width, max_size=width))
+            for width, count in draw(st.lists(st.tuples(widths, st.integers(1, 4)),
+                                              min_size=1, max_size=5))
+            for _ in range(count)]
+    fault = draw(st.sampled_from(["none", "repeat", "repeat", "range"]))
+    terms = rows[draw(st.integers(0, len(rows) - 1))]
+    if fault == "repeat" and len(terms) >= 2:
+        a, b = sorted(draw(st.lists(st.integers(0, len(terms) - 1),
+                                    unique=True, min_size=2, max_size=2)))
+        terms[b] = terms[a]
+    elif fault == "range" and terms:
+        terms[draw(st.integers(0, len(terms) - 1))] = draw(
+            st.sampled_from([-1, -7, num_vars, num_vars + 5]))
+    return num_vars, rows
 
-    def test_merged_flag_is_equivalent_for_clean_terms(self):
-        terms = (("a", 1.0), ("b", -2.0))
-        b1 = ModelBuilder()
-        b1.add_variable("a", VarKind.CONTINUOUS)
-        b1.add_variable("b", VarKind.CONTINUOUS)
-        b1.add_row("r", terms, Sense.LE, 0.0)
-        b2 = ModelBuilder()
-        b2.add_variable("a", VarKind.CONTINUOUS)
-        b2.add_variable("b", VarKind.CONTINUOUS)
-        b2.add_row("r", terms, Sense.LE, 0.0, merged=True)
-        assert b1.build().rows == b2.build().rows
+
+class TestRowChecks:
+    @given(row_runs())
+    @settings(max_examples=500, deadline=None)
+    def test_same_refusal_as_the_per_row_reference(self, case):
+        num_vars, rows = case
+        names = [f"v{j}" for j in range(num_vars)]
+        row_names = [f"r{i}" for i in range(len(rows))]
+        expected = reference_refusal(names, row_names, rows)
+        if expected is None:
+            model = columns_model(names, VarKind.CONTINUOUS, [0.0] * num_vars,
+                                  [1.0] * num_vars, rows, row_names)
+            assert census(model) == (num_vars, len(rows))
+        else:
+            with pytest.raises(ModelError) as refused:
+                columns_model(names, VarKind.CONTINUOUS, [0.0] * num_vars,
+                              [1.0] * num_vars, rows, row_names)
+            assert str(refused.value) == expected
 
 
 class TestEmitLp:
@@ -229,10 +298,8 @@ class TestEmitLp:
         assert emit_lp(tiny_model()) == emit_lp(tiny_model())
 
     def test_fixed_binary_bound_emitted(self):
-        b = ModelBuilder()
-        b.add_variable("x", VarKind.BINARY, 0.0, 0.0)
-        b.add_row("r", [("x", 1.0)], Sense.LE, 1.0)
-        assert " 0 <= x <= 0" in emit_lp(b.build())
+        model = columns_model(["x"], VarKind.BINARY, [0.0], [0.0], rows=[[0]])
+        assert " 0 <= x <= 0" in emit_lp(model)
 
 
 class TestParseSolution:
@@ -263,11 +330,14 @@ class TestEvaluation:
     def test_objective_value(self):
         assert objective_value(tiny_model(), {"x1": 1.0, "x2": 1.0}) == 0.5
 
-    def test_row_residuals(self):
-        model = tiny_model()
-        rows = {r.name: r for r in model.rows}
-        sat = {"x1": 1.0, "x2": 0.0, "u": 1.0, "h": 2.0}
-        assert row_residual(rows["r1"], sat) == 0.0
-        assert row_residual(rows["r3"], sat) == 0.0
-        assert row_residual(rows["r1"], {"x1": 1.0, "x2": 1.0}) == 1.0
-        assert row_residual(rows["r2"], {"x1": 1.0, "u": 0.0}) == 1.0
+
+def test_import_loads_no_numpy():
+    # numpy costs about 0.1 s to import and 11 MB of resident memory; the
+    # package leaves it to the solver process
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ppdsp.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import ppdsp, sys; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
