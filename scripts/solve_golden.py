@@ -34,8 +34,10 @@ def main() -> int:
 
     for formulation in ("location", "request"):
         outcome = solve(instance, formulation, adapter, time_limit_s=60)
-        print(f"mip[{formulation}] = {outcome.objective:g} "
-              f"({outcome.status})")
+        if outcome.status in ("Optimal", "Feasible"):
+            print(f"mip[{formulation}] = {outcome.objective:g} ({outcome.status})")
+        else:
+            print(f"mip[{formulation}]: {outcome.status} {outcome.error}")
     return 0
 
 

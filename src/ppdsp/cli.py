@@ -1,7 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 input error, 3 verification failure (validator
-violations, objective mismatch, census mismatch), 4 solver-process error.
+Exit codes: 0 success, 2 input error, 3 verification failure (census
+mismatch, or a decoded solution with validator violations or an objective
+that differs from its recomputed value), 4 solver failure (crash, timeout,
+which stops the solver's whole process group, no solution file, an
+unreadable or undecodable answer, or a declared Error or unknown status).
 """
 
 from __future__ import annotations
@@ -131,20 +134,16 @@ def cmd_solve(args) -> int:
     adapter = _adapter_from(args.solver, args.dialect)
     if adapter is None:
         raise CliError("no solver command (use --solver or PPDSP_SOLVER_CMD)")
-    try:
-        outcome = harness.solve(instance, args.formulation, adapter, args.time_limit)
-    except harness.ObjectiveMismatch as exc:
-        print(f"ObjectiveMismatch: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    outcome = harness.solve(instance, args.formulation, adapter, args.time_limit)
     print(f"status={outcome.status} objective="
           f"{'' if outcome.objective is None else f'{outcome.objective:.6f}'} "
           f"wall_time_s={outcome.wall_time_s:.3f}")
     if outcome.status == "Error":
-        if outcome.error:
-            print(f"solve failed: {outcome.error}", file=sys.stderr)
+        print(f"solve failed: {outcome.error}", file=sys.stderr)
         for violation in outcome.violations:
             print(f"  {violation}", file=sys.stderr)
-        return EXIT_VERIFY if outcome.violations else EXIT_SOLVER
+        # a decoded solution failed a check; otherwise there was no usable answer
+        return EXIT_VERIFY if outcome.solution is not None else EXIT_SOLVER
     if outcome.solution is not None and args.out:
         with open(args.out, "w") as fh:
             fh.write(solution_to_json(outcome.solution))

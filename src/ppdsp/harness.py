@@ -4,6 +4,7 @@ both route semantics, golden-value enumeration, and the benchmark grid.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -11,6 +12,7 @@ import itertools
 import os
 import re
 import shlex
+import signal
 import subprocess
 import tempfile
 import time
@@ -22,9 +24,11 @@ from . import enc_location, enc_request
 from .core import (DeliveryRoutingSolution, Instance, Truck, TruckPlan,
                    validate_solution, xi)
 from .instgen import TsplibSample, generate_family
-from .mipir import census, emit_lp, objective_value, parse_solution
+from .mipir import (SolutionParseError, census, emit_lp, objective_value,
+                    parse_solution)
 
 OBJECTIVE_TOL = 1e-6
+SOLVER_GRACE_S = 120  # past the time limit, before the solver's processes are killed
 
 
 class OracleRefused(ValueError):
@@ -36,7 +40,7 @@ class SolverProcessError(RuntimeError):
 
 
 class ObjectiveMismatch(RuntimeError):
-    pass
+    """Raised and caught inside solve(); it ends as an Error outcome."""
 
 
 class CensusMismatch(AssertionError):
@@ -73,6 +77,18 @@ class SolverAdapter:
 
 @dataclass(frozen=True)
 class SolveOutcome:
+    """How a solve ended, whatever the solver did.
+
+    Optimal or Feasible (values without a status line): the values decode to
+    a `solution` that passes the audit, with `objective` equal to its xi.
+    Infeasible or TimeLimit: declared (Infeasible also for an empty answer).
+    Error, with `error` saying why: the solver crashed, timed out or wrote no
+    file; a line is malformed or names an unknown variable; the status is
+    Error or unknown; the values do not decode; or the decoded `solution`
+    fails the audit (`violations`) or its xi differs from `objective`.
+    `objective` is the solver's whenever its values were read.
+    """
+
     status: str  # Optimal | Feasible | Infeasible | TimeLimit | Error
     objective: Optional[float]
     solution: Optional[DeliveryRoutingSolution]
@@ -323,15 +339,14 @@ def normalize_solution_text(text: str, dialect: str) -> str:
 
 
 _STATUS_NAMES = {"optimal": "Optimal", "feasible": "Feasible",
-                 "infeasible": "Infeasible", "timelimit": "TimeLimit",
-                 "error": "Error"}
+                 "infeasible": "Infeasible", "timelimit": "TimeLimit"}
 
 
 def _scan_status(text: str) -> Optional[str]:
     for line in text.splitlines():
         if line.startswith("# status"):
-            token = line.split()[-1].strip().lower()
-            return _STATUS_NAMES.get(token, "Error")
+            token = line.split()[-1].strip()
+            return _STATUS_NAMES.get(token.lower(), token)
     return None
 
 
@@ -358,7 +373,8 @@ def run_adapter(adapter: SolverAdapter, lp_text: str, time_limit_s: float
     any files it writes there are removed with it; a Python solver still
     imports what the caller's PYTHONPATH names (see _solver_environment).
 
-    Returns (normalized solution text, declared status or None).
+    Returns (normalized solution text, declared status or None). Raises
+    SolverProcessError on a non-zero exit, no solution file or a timeout.
     """
     with tempfile.TemporaryDirectory(dir=adapter.workdir) as tmp:
         model_path = os.path.join(tmp, "model.lp")
@@ -369,17 +385,28 @@ def run_adapter(adapter: SolverAdapter, lp_text: str, time_limit_s: float
             model_path=shlex.quote(model_path),
             solution_path=shlex.quote(solution_path),
             time_limit_s=time_limit_s)
-        proc = subprocess.run(command, shell=True, cwd=tmp,
-                              env=_solver_environment(),
-                              capture_output=True, text=True,
-                              timeout=time_limit_s + 120)
+        # a session of its own, so that a timeout kills the solver's children too
+        proc = subprocess.Popen(command, shell=True, cwd=tmp,
+                                env=_solver_environment(), stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE, text=True, errors="replace",
+                                start_new_session=True)
+        try:
+            _, stderr = proc.communicate(timeout=time_limit_s + SOLVER_GRACE_S)
+        except BaseException as exc:  # also Ctrl-C, which the session does not get
+            with contextlib.suppress(ProcessLookupError):  # the group has exited
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            if isinstance(exc, subprocess.TimeoutExpired):
+                raise SolverProcessError(f"solver still running {SOLVER_GRACE_S:g} s "
+                                         f"past its {time_limit_s:g} s limit") from None
+            raise
         if proc.returncode != 0:
             # the tail: a traceback or error message ends with its reason
             raise SolverProcessError(
-                f"solver exited with {proc.returncode}: {proc.stderr.strip()[-500:]}")
+                f"solver exited with {proc.returncode}: {stderr.strip()[-500:]}")
         if not os.path.exists(solution_path):
             raise SolverProcessError("solver produced no solution file")
-        with open(solution_path) as fh:
+        with open(solution_path, errors="replace") as fh:  # bad bytes fail to parse
             raw = fh.read()
     status = _scan_status(raw)
     return normalize_solution_text(raw, adapter.dialect), status
@@ -491,40 +518,38 @@ def solve(instance: Instance, formulation: str, adapter: SolverAdapter,
 
 def _solve_encoding(form: Formulation, encoding, adapter: SolverAdapter,
                     time_limit_s: float, start: float) -> SolveOutcome:
-    """solve() after encoding; the outcome's wall time runs from `start`."""
-    lp_text = emit_lp(encoding.model)
+    """solve() after encoding; the outcome's wall time runs from `start`.
+    Every failure the solver's answer can cause ends as an Error outcome."""
+    status, objective, decoded, raw_routes, problems, error = (
+        "Error", None, None, None, [], "")
     try:
-        solution_text, declared = run_adapter(adapter, lp_text, time_limit_s)
-    except (SolverProcessError, subprocess.TimeoutExpired) as exc:
-        return SolveOutcome(status="Error", objective=None, solution=None,
-                            wall_time_s=time.monotonic() - start, error=str(exc))
-    has_values = any(line.strip() and not line.startswith("#")
-                     for line in solution_text.splitlines())
-    # values without a declared status are a solution, not a proof of optimality
-    status = declared or ("Infeasible" if not has_values else "Feasible")
-    if status in ("Infeasible", "TimeLimit", "Error"):
-        return SolveOutcome(status=status, objective=None, solution=None,
-                            wall_time_s=time.monotonic() - start)
-
-    assignment, _warnings = parse_solution(solution_text, encoding.model)
-    solver_objective = objective_value(encoding.model, assignment)
-    try:
-        decoded, raw_routes = form.decode(encoding, assignment)
-    except enc_location.DecodeError as exc:
-        return SolveOutcome(status="Error", objective=solver_objective, solution=None,
-                            wall_time_s=time.monotonic() - start, error=str(exc))
-    problems = form.audit(encoding, decoded, raw_routes)
-    value = xi(decoded, encoding.instance)
-    if abs(solver_objective - value) > OBJECTIVE_TOL * max(1.0, abs(value)):
-        raise ObjectiveMismatch(
-            f"solver objective {solver_objective} != recomputed value {value}")
-    if problems:
-        return SolveOutcome(status="Error", objective=solver_objective,
-                            solution=decoded, wall_time_s=time.monotonic() - start,
-                            violations=tuple(problems), raw_routes=raw_routes,
-                            error="claimed-feasible solution fails validation")
-    return SolveOutcome(status=status, objective=solver_objective, solution=decoded,
-                        wall_time_s=time.monotonic() - start, raw_routes=raw_routes)
+        solution_text, status = run_adapter(adapter, emit_lp(encoding.model),
+                                            time_limit_s)
+        if status is None:
+            # values without a declared status are a solution, not a proof of optimality
+            has_values = any(line.strip() and not line.startswith("#")
+                             for line in solution_text.splitlines())
+            status = "Feasible" if has_values else "Infeasible"
+        if status not in _STATUS_NAMES.values():
+            raise SolverProcessError(f"solver declared status {status!r}")
+        if status in ("Optimal", "Feasible"):
+            assignment = parse_solution(solution_text, encoding.model)
+            objective = objective_value(encoding.model, assignment)
+            decoded, raw_routes = form.decode(encoding, assignment)
+            problems = form.audit(encoding, decoded, raw_routes)
+            value = xi(decoded, encoding.instance)
+            if abs(objective - value) > OBJECTIVE_TOL * max(1.0, abs(value)):
+                raise ObjectiveMismatch(
+                    f"solver objective {objective} != recomputed value {value}")
+            if problems:
+                error = "claimed-feasible solution fails validation"
+    except (SolverProcessError, SolutionParseError, enc_location.DecodeError,
+            ObjectiveMismatch) as exc:
+        error = str(exc)
+    return SolveOutcome(status="Error" if error else status, objective=objective,
+                        solution=decoded, wall_time_s=time.monotonic() - start,
+                        violations=tuple(problems), raw_routes=raw_routes,
+                        error=error)
 
 
 # --- benchmark grid -------------------------------------------------------
@@ -542,11 +567,10 @@ def _bench_cell(instance: Instance, form: Formulation,
                                form.name, num_vars, num_rows, seed=meta.seed)
     if adapter is None:
         return record("EncodeOnly", None, None)
-    try:
-        outcome = _solve_encoding(form, encoding, adapter, time_limit_s, start)
-    except ObjectiveMismatch:
-        return record("Error", None, None)
-    return record(outcome.status, outcome.objective, outcome.wall_time_s)
+    outcome = _solve_encoding(form, encoding, adapter, time_limit_s, start)
+    answered = outcome.status in ("Optimal", "Feasible")
+    return record(outcome.status, outcome.objective if answered else None,
+                  outcome.wall_time_s)
 
 
 def bench(samples: list[TsplibSample], k_list: list[float], m_list: list[int],

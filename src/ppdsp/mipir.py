@@ -14,6 +14,7 @@ threads.
 
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -309,14 +310,13 @@ def emit_lp(model: MipModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_solution(text: str, model: MipModel) -> tuple[dict[str, float], list[str]]:
+def parse_solution(text: str, model: MipModel) -> dict[str, float]:
     """Read 'name value' lines into a full assignment.
 
-    Unknown names are collected as warnings; variables absent from the text
-    default to 0.
+    A name the model does not have, or a value that is not a finite number,
+    is refused; variables absent from the text default to 0.
     """
     values: dict[str, float] = dict.fromkeys(model.names, 0.0)
-    warnings: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -328,12 +328,13 @@ def parse_solution(text: str, model: MipModel) -> tuple[dict[str, float], list[s
         try:
             value = float(value_text)
         except ValueError:
+            value = math.nan
+        if not math.isfinite(value):  # nan would slip past the objective check
             raise SolutionParseError(f"line {lineno}: bad value {value_text!r}")
         if name not in values:
-            warnings.append(f"line {lineno}: unknown variable {name}")
-            continue
+            raise SolutionParseError(f"line {lineno}: unknown variable {name}")
         values[name] = value
-    return values, warnings
+    return values
 
 
 def objective_value(model: MipModel, assignment: dict[str, float]) -> float:

@@ -1,18 +1,26 @@
 import dataclasses
 import os
+import signal
 import sys
+import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import small_random_instance
-from ppdsp import enc_location, enc_request
+from ppdsp import enc_location, enc_request, harness
+from ppdsp.cli import main
 from ppdsp.core import (DeliveryRoutingSolution, Instance, InstanceMeta,
-                        LocationGraph, Request, Truck, validate_solution, xi)
+                        LocationGraph, Request, Truck, ValidationReport,
+                        Violation, ViolationKind, validate_solution, xi)
 from ppdsp.harness import (CensusMismatch, OracleLimits, OracleRefused,
-                           SolverAdapter, SolverProcessError, bench,
-                           enumerate_xi, formulation, normalize_solution_text,
-                           oracle, records_to_csv, render_markdown, run_adapter,
-                           solve)
+                           SolveOutcome, SolverAdapter, SolverProcessError,
+                           bench, enumerate_xi, formulation,
+                           normalize_solution_text, oracle, records_to_csv,
+                           render_markdown, run_adapter, solve)
+from ppdsp.instgen import serialize_instance
 
 GOLDEN_XI_VALUES = [-2, -1, 0, 0, 0, 1, 1, 2, 2, 2, 3, 4, 4, 5, 7, 7, 7, 8,
                     9, 10, 11]
@@ -161,6 +169,43 @@ class TestAdapters:
             run_adapter(adapter, "Maximize\nEnd\n", 10)
 
 
+def made_up_violation(solution, instance):
+    return ValidationReport((Violation(ViolationKind.CAPACITY_EXCEEDED, 1, "made up"),))
+
+
+# (solver, patched harness attribute, status, reason, `ppdsp solve` exit code).
+# A solver with a {model_path} slot is a command template; any other is the
+# text a stub solver writes as its solution file.
+FAILURE_MODES = {
+    "crash": ("exit 9 # {model_path}", None, "Error", "solver exited with 9", 4),
+    "timeout": ("sleep 30 # {model_path}", None, "Error", "past its 0.1 s limit", 4),
+    "missing file": ("true {model_path}", None, "Error", "no solution file", 4),
+    "undecodable stderr": ("printf '\\377' >&2; exit 3 # {model_path}", None, "Error",
+                           "solver exited with 3: \ufffd", 4),
+    "undecodable file": ("printf '# status Optimal\\n\\377 1\\n' > {solution_path} "
+                         "# {model_path}", None, "Error",
+                         "line 2: unknown variable \ufffd", 4),
+    "malformed line": ("# status Optimal\nx_t0_o0_d1 1 2\n", None, "Error",
+                       "line 2: expected 'name value'", 4),
+    "unknown name": ("# status Optimal\n# objective 14.0\nX_T0_O0_D1 1\n", None,
+                     "Error", "line 3: unknown variable X_T0_O0_D1", 4),
+    "fractional value": ("# status Optimal\nx_t0_o0_d1 0.5\n", None, "Error",
+                         "not integral", 4),
+    "non-finite value": ("# status Optimal\nu_t0_v1 nan\n", None, "Error",
+                         "line 2: bad value 'nan'", 4),
+    "no status line": ("y_t0_r0 0\n", None, "Feasible", "", 0),
+    "unknown status": ("# status Solved\n", None, "Error",
+                       "solver declared status 'Solved'", 4),
+    "declared error": ("# status error\n", None, "Error",
+                       "solver declared status 'error'", 4),
+    "objective mismatch": ("# status Optimal\n", ("xi", lambda solution, instance: 1.0),
+                           "Error", "solver objective 0.0 != recomputed value 1.0", 3),
+    "validation failure": ("# status Optimal\n",
+                           ("validate_solution", made_up_violation), "Error",
+                           "claimed-feasible solution fails validation", 3),
+}
+
+
 class TestSolve:
     def test_location_against_backend(self, golden_instance, highs_adapter):
         outcome = solve(golden_instance, "location", highs_adapter, 60)
@@ -218,6 +263,104 @@ class TestSolve:
         assert outcome.status == "Error"
         assert outcome.error.endswith("reason: bad row")
 
+    @pytest.mark.parametrize("mode", FAILURE_MODES)
+    def test_failure_mode_outcome_and_exit_code(self, mode, golden_instance, tmp_path,
+                                                monkeypatch, capsys):
+        solver, patch, status, reason, code = FAILURE_MODES[mode]
+        if "{model_path}" not in solver:
+            solver = stub_adapter(tmp_path, solver).command_template
+        if patch:
+            monkeypatch.setattr(harness, *patch)
+        monkeypatch.setattr(harness, "SOLVER_GRACE_S", 0.5)
+        outcome = solve(golden_instance, "location", SolverAdapter(solver), 0.1)
+        assert outcome.status == status
+        assert reason in outcome.error and bool(outcome.error) == bool(reason)
+        instance_path = tmp_path / "golden.instance"
+        instance_path.write_text(serialize_instance(golden_instance))
+        assert main(["solve", "--instance", str(instance_path), "--formulation", "loc",
+                     "--solver", solver, "--time-limit", "0.1"]) == code
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("solve failed:")]
+        assert failed == ([f"solve failed: {outcome.error}"] if reason else [])
+
+    def test_timeout_kills_the_solvers_children(self, golden_instance, tmp_path,
+                                                monkeypatch):
+        pid_file = tmp_path / "child.pid"
+        script = tmp_path / "forking_solver.py"
+        # the child holds none of the solver's pipes, so nothing waits for it
+        script.write_text("import subprocess, time\n"
+                          "child = subprocess.Popen(['sleep', '60'],\n"
+                          "                         stdout=subprocess.DEVNULL,\n"
+                          "                         stderr=subprocess.DEVNULL)\n"
+                          f"open({str(pid_file)!r}, 'w').write(str(child.pid))\n"
+                          "time.sleep(60)\n")
+        monkeypatch.setattr(harness, "SOLVER_GRACE_S", 1.0)
+        adapter = SolverAdapter(f"{sys.executable} {script} {{model_path}}")
+        outcome = solve(golden_instance, "location", adapter, 0.1)
+        pid = int(pid_file.read_text())
+        try:
+            assert outcome.status == "Error" and "past its" in outcome.error
+            assert outcome.wall_time_s < 10  # nothing waited for the sleepers
+            deadline = time.monotonic() + 5
+            while process_state(pid) not in (None, "Z") and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert process_state(pid) in (None, "Z")
+        finally:
+            if process_state(pid) not in (None, "Z"):
+                os.kill(pid, signal.SIGKILL)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_solve_never_raises_on_a_solver_answer(self, golden_instance, data):
+        form = data.draw(st.sampled_from(sorted(ANSWERS)))
+        status = data.draw(st.sampled_from([None, "Optimal", "Feasible", "Infeasible",
+                                            "TimeLimit", "Error", "Solved"]))
+        value_line = st.tuples(
+            st.sampled_from([*ANSWERS[form]["optimal"], "u_t0_v1", "h_t1_v2", "zz",
+                             "X_T0_O0_D1"]),
+            st.sampled_from(["0", "1", "0.5", "abc", "1 2", "nan"])).map(" ".join)
+        noise = data.draw(st.lists(st.one_of(
+            value_line, st.sampled_from(["# objective 14.0", "# gap 0", ""])),
+            max_size=6))
+        base = data.draw(st.sampled_from([[], *ANSWERS[form].values()]))
+        lines = data.draw(st.permutations([f"{name} 1" for name in base] + noise))
+        answer = ("\n".join(lines) + "\n", status)
+        with mock.patch.object(harness, "run_adapter", lambda *args: answer):
+            outcome = solve(golden_instance, form, SolverAdapter("{model_path}"), 10)
+        assert isinstance(outcome, SolveOutcome)
+        if outcome.status == "Error":
+            assert outcome.error
+        if outcome.status in ("Optimal", "Feasible"):
+            assert validate_solution(outcome.solution, golden_instance).ok
+            assert outcome.objective == pytest.approx(xi(outcome.solution,
+                                                         golden_instance))
+
+
+def arcs(t: int, path: tuple[int, ...]) -> list[str]:
+    return [enc_location.x_name(t, o, d) for o, d in zip(path, path[1:])]
+
+
+# the variables set to 1 in two answers for the golden instance. Optimal:
+# truck 0 serves r0 and r1 on 0-1-2-3-0, truck 1 serves r2 on 0-2-3-0.
+# Overloaded: truck 1 (capacity 3) carries r0 (volume 4). Request-model nodes
+# are pickups 1-3, dropoffs 4-6 and the end depot 7.
+ANSWERS = {
+    "location": {"optimal": arcs(0, (0, 1, 2, 3, 0)) + arcs(1, (0, 2, 3, 0))
+                 + ["y_t0_r0", "y_t0_r1", "y_t1_r2"],
+                 "overloaded": arcs(1, (0, 1, 3, 0)) + ["y_t1_r0"]},
+    "request": {"optimal": arcs(0, (0, 1, 2, 5, 4, 7)) + arcs(1, (0, 3, 6, 7)),
+                "overloaded": arcs(0, (0, 7)) + arcs(1, (0, 1, 4, 7))},
+}
+
+
+def process_state(pid: int):
+    """The state letter in /proc/<pid>/stat, or None once the pid is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return None
+
 
 class TestBench:
     def test_encode_only_counts(self, burma14):
@@ -261,6 +404,21 @@ class TestBench:
         adapter = stub_adapter(tmp_path, "# status Optimal\n# objective 0.0\n")
         bench([burma14], [1], [2], ["location", "request"], adapter, 10, seed=0)
         assert encoded == ["encode_location", "encode_request"]
+
+    @pytest.mark.parametrize("answer, patch", [
+        ("# status Optimal\n", ("xi", lambda solution, instance: 1.0)),  # mismatch
+        ("# status Optimal\nx_t0_o0_d1 0.5\n", None),  # does not decode
+    ])
+    def test_failed_cell_has_no_objective(self, burma14, tmp_path, monkeypatch,
+                                          answer, patch):
+        if patch:
+            monkeypatch.setattr(harness, *patch)
+        adapter = stub_adapter(tmp_path, answer)
+        [record] = bench([burma14], [1], [2], ["location"], adapter, 10, seed=0)
+        assert record.status == "Error"
+        assert record.objective is None and record.wall_time_s > 0
+        row = records_to_csv([record]).splitlines()[1].split(",")
+        assert row[7:10] == ["Error", "", f"{record.wall_time_s:.3f}"]
 
     def test_workers_give_the_serial_records(self, burma14, tmp_path):
         adapter = stub_adapter(tmp_path, "# status Optimal\n# objective 0.0\n")

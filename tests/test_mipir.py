@@ -305,22 +305,22 @@ class TestEmitLp:
 class TestParseSolution:
     def test_reads_pairs_and_defaults(self):
         model = tiny_model()
-        values, warnings = parse_solution("# status Optimal\nx1 1\nh 2.5\n", model)
+        values = parse_solution("# status Optimal\nx1 1\nh 2.5\n", model)
         assert values["x1"] == 1.0
         assert values["h"] == 2.5
         assert values["x2"] == 0.0 and values["u"] == 0.0
-        assert warnings == []
 
-    def test_unknown_name_warns(self):
-        values, warnings = parse_solution("zz 3\n", tiny_model())
-        assert "zz" not in values
-        assert len(warnings) == 1
+    def test_unknown_name_refused(self):
+        # a solver that renames variables must not read as an all-zero answer
+        with pytest.raises(SolutionParseError, match="line 2: unknown variable X1"):
+            parse_solution("x1 1\nX1 1\n", tiny_model())
 
     def test_malformed_line(self):
         with pytest.raises(SolutionParseError):
             parse_solution("x1 1 2\n", tiny_model())
-        with pytest.raises(SolutionParseError):
-            parse_solution("x1 abc\n", tiny_model())
+        for value in ("abc", "nan", "-inf"):
+            with pytest.raises(SolutionParseError, match=f"line 1: bad value '{value}'"):
+                parse_solution(f"x1 {value}\n", tiny_model())
 
 
 class TestEvaluation:
