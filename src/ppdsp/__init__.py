@@ -8,10 +8,9 @@ from .enc_location import (decode_location, encode_location,
                            predicted_counts_location)
 from .enc_request import (decode_request, encode_request,
                           predicted_counts_request)
-from .harness import (BenchRecord, OracleLimits, SolveOutcome, SolverAdapter,
-                      bench, enumerate_xi, oracle, solve)
-from .instgen import (GenerationParams, PairFamily, TsplibSample,
-                      generate_family, generate_instance, parse_instance,
+from .harness import (BenchRecord, SolveOutcome, SolverAdapter, bench,
+                      enumerate_xi, oracle, solve)
+from .instgen import (TsplibSample, generate_family, parse_instance,
                       parse_tsplib, serialize_instance)
 from .mipir import (MipModel, Sense, VarKind, census, emit_lp,
                     parse_solution)

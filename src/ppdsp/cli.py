@@ -1,19 +1,22 @@
 """Command-line front end.
 
+`solve` and `bench` run an external solver from a command template; it
+writes `name value` lines and an optional `# status <word>` line, and a
+solver with another answer format needs a wrapper script.
+
 Exit codes: 0 success, 2 input error, 3 verification failure (census
 mismatch, or a decoded solution with validator violations or an objective
 that differs from its recomputed value), 4 solver failure (crash, timeout,
-which stops the solver's whole process group, no solution file, an
+which stops the solver's whole process group, no solution file, an empty,
 unreadable or undecodable answer, or a declared Error or unknown status).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import logging
+import math
 import os
 import sys
 
@@ -61,11 +64,22 @@ def _read_instance(path: str):
         raise CliError(f"{path}: {exc}")
 
 
-def _adapter_from(template: str | None, dialect: str) -> harness.SolverAdapter | None:
+def _adapter_from(template: str | None) -> harness.SolverAdapter | None:
     template = template or os.environ.get("PPDSP_SOLVER_CMD")
     if not template or template == "none":
         return None
-    return harness.SolverAdapter(command_template=template, dialect=dialect)
+    return harness.SolverAdapter(command_template=template)
+
+
+def _time_limit(text: str) -> float:
+    """argparse type of --time-limit: a finite number of seconds > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
+    return value
 
 
 def _parse_list(text: str, item, what: str) -> list:
@@ -131,7 +145,7 @@ def cmd_build(args) -> int:
 
 def cmd_solve(args) -> int:
     instance = _read_instance(args.instance)
-    adapter = _adapter_from(args.solver, args.dialect)
+    adapter = _adapter_from(args.solver)
     if adapter is None:
         raise CliError("no solver command (use --solver or PPDSP_SOLVER_CMD)")
     outcome = harness.solve(instance, args.formulation, adapter, args.time_limit)
@@ -189,7 +203,7 @@ def cmd_bench(args) -> int:
                         for f in args.formulations.split(",")]
     except ValueError as exc:
         raise CliError(str(exc))
-    adapter = _adapter_from(args.solver, args.dialect)
+    adapter = _adapter_from(args.solver)
     try:
         records = harness.bench(samples, k_list, m_list, formulations, adapter,
                                 args.time_limit, args.seed, workers=args.workers)
@@ -208,21 +222,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
-    reader = csv.DictReader(io.StringIO(_read_text(args.csv)))
-    records = []
     try:
-        for row in reader:
-            records.append(harness.BenchRecord(
-                sample=row["sample"], k=float(row["k"]), m=int(row["m"]),
-                n=int(row["n"]), formulation=row["formulation"],
-                num_vars=int(row["num_vars"]), num_rows=int(row["num_rows"]),
-                status=row["status"],
-                objective=float(row["objective"]) if row["objective"] else None,
-                wall_time_s=float(row["wall_time_s"]) if row["wall_time_s"] else None,
-                seed=int(row["seed"])))
-    except KeyError as exc:
-        raise CliError(f"{args.csv}: no column {exc}")
-    except (TypeError, ValueError) as exc:  # a short row reads as None
+        records = harness.records_from_csv(_read_text(args.csv))
+    except ValueError as exc:
         raise CliError(f"{args.csv}: {exc}")
     text = harness.render_markdown(records, solver_label=args.solver_label,
                                    time_limit_s=args.time_limit)
@@ -258,8 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--formulation", required=True, choices=sorted(harness.FORMULATIONS))
     p.add_argument("--solver", help="command template; default $PPDSP_SOLVER_CMD")
-    p.add_argument("--dialect", default="pairs", choices=["pairs", "xml"])
-    p.add_argument("--time-limit", type=float, default=600.0)
+    p.add_argument("--time-limit", type=_time_limit, default=600.0)
     p.add_argument("--out", help="write the decoded solution as JSON")
     p.set_defaults(func=cmd_solve)
 
@@ -280,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", required=True)
     p.add_argument("--formulations", default="location,request")
     p.add_argument("--solver", help="command template or 'none' for encode-only")
-    p.add_argument("--dialect", default="pairs", choices=["pairs", "xml"])
-    p.add_argument("--time-limit", type=float, default=600.0)
+    p.add_argument("--time-limit", type=_time_limit, default=600.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--csv")
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="render a bench CSV as a markdown table")
     p.add_argument("--csv", required=True)
     p.add_argument("--solver-label", default="none")
-    p.add_argument("--time-limit", type=float)
+    p.add_argument("--time-limit", type=_time_limit)
     p.add_argument("--out")
     p.set_defaults(func=cmd_report)
     return parser

@@ -22,13 +22,10 @@ class LocationGraph:
     """Physical locations with a depot at id 0 and Euclidean arc lengths."""
 
     coords: tuple[tuple[float, float], ...]
-    depot_id: int = 0
 
     def __post_init__(self):
         if len(self.coords) < 2:
             raise ValueError("graph needs a depot and at least one other node")
-        if self.depot_id != 0:
-            raise ValueError("depot id must be 0")
 
     @property
     def num_nodes(self) -> int:
@@ -257,10 +254,7 @@ def validate_route(truck: Truck, delivery: frozenset[int] | set[int],
             violations.append(Violation(ViolationKind.PRECEDENCE_VIOLATED, r.id,
                                         f"dropoff {r.dropoff} before pickup {r.pickup}"))
 
-    load = 0
-    for v in route[1:-1]:
-        load += sum(r.q for r in requests if r.pickup == v)
-        load -= sum(r.q for r in requests if r.dropoff == v)
+    for v, load in load_profile(truck, delivery, route, instance):
         if load > truck.capacity:
             violations.append(Violation(ViolationKind.CAPACITY_EXCEEDED, v,
                                         f"load {load} > capacity {truck.capacity}"))

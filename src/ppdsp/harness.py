@@ -10,7 +10,6 @@ import functools
 import io
 import itertools
 import os
-import re
 import shlex
 import signal
 import subprocess
@@ -48,11 +47,10 @@ class CensusMismatch(AssertionError):
     formulation's closed form."""
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    max_requests: int = 5
-    max_trucks: int = 3
-    max_nodes: int = 8
+# the largest instance the exhaustive oracle enumerates
+ORACLE_MAX_REQUESTS = 5
+ORACLE_MAX_TRUCKS = 3
+ORACLE_MAX_NODES = 8
 
 
 @dataclass(frozen=True)
@@ -60,19 +58,17 @@ class SolverAdapter:
     """Subprocess solver boundary.
 
     command_template placeholders: {model_path}, {solution_path},
-    {time_limit_s}. dialect selects the solution-file reader: "pairs"
-    (name value per line) or "xml" (name/value attribute pairs).
+    {time_limit_s}. The solver writes `name value` lines and an optional
+    `# status <word>` line; a solver with another format needs a wrapper
+    script that rewrites its answer.
     """
 
     command_template: str
-    dialect: str = "pairs"
     workdir: Optional[str] = None
 
     def __post_init__(self):
         if "{model_path}" not in self.command_template:
             raise ValueError("command template must contain {model_path}")
-        if self.dialect not in ("pairs", "xml"):
-            raise ValueError(f"unknown dialect {self.dialect!r}")
 
 
 @dataclass(frozen=True)
@@ -81,11 +77,12 @@ class SolveOutcome:
 
     Optimal or Feasible (values without a status line): the values decode to
     a `solution` that passes the audit, with `objective` equal to its xi.
-    Infeasible or TimeLimit: declared (Infeasible also for an empty answer).
-    Error, with `error` saying why: the solver crashed, timed out or wrote no
-    file; a line is malformed or names an unknown variable; the status is
-    Error or unknown; the values do not decode; or the decoded `solution`
-    fails the audit (`violations`) or its xi differs from `objective`.
+    Infeasible or TimeLimit: declared.
+    Error, with `error` saying why: the solver crashed, timed out, wrote no
+    file or wrote neither a status nor values; a line is malformed or names
+    an unknown variable; the status is Error or unknown; the values do not
+    decode; or the decoded `solution` fails the audit (`violations`) or its
+    xi differs from `objective`.
     `objective` is the solver's whenever its values were read.
     """
 
@@ -94,7 +91,6 @@ class SolveOutcome:
     solution: Optional[DeliveryRoutingSolution]
     wall_time_s: float
     violations: tuple = ()
-    raw_routes: Optional[dict] = None
     error: str = ""
 
 
@@ -217,11 +213,11 @@ def _best_request_route(instance: Instance, truck: Truck, delivery: tuple[int, .
     return best
 
 
-def _check_limits(instance: Instance, limits: OracleLimits) -> None:
+def _check_limits(instance: Instance) -> None:
     n = len(instance.requests)
     m = len(instance.trucks)
     nv = instance.graph.num_nodes
-    if n > limits.max_requests or m > limits.max_trucks or nv > limits.max_nodes:
+    if n > ORACLE_MAX_REQUESTS or m > ORACLE_MAX_TRUCKS or nv > ORACLE_MAX_NODES:
         size = (len(instance.trucks) + 1) ** len(instance.requests)
         raise OracleRefused(
             f"instance too large for enumeration (n={n}, m={m}, |V|={nv}; "
@@ -243,7 +239,6 @@ def _assignments(instance: Instance):
 
 
 def oracle(instance: Instance, semantics: str = "location",
-           limits: OracleLimits = OracleLimits(),
            capacity_rule: str = "strict"
            ) -> tuple[float, DeliveryRoutingSolution]:
     """Exhaustive optimum over all request assignments and routes.
@@ -261,7 +256,7 @@ def oracle(instance: Instance, semantics: str = "location",
     """
     if semantics not in ("location", "request"):
         raise ValueError(f"unknown semantics {semantics!r}")
-    _check_limits(instance, limits)
+    _check_limits(instance)
     best_value = 0.0
     best_plans: Optional[tuple[TruckPlan, ...]] = None
     for deliveries in _assignments(instance):
@@ -293,11 +288,10 @@ def oracle(instance: Instance, semantics: str = "location",
     return best_value, DeliveryRoutingSolution(plans=best_plans)
 
 
-def enumerate_xi(instance: Instance, limits: OracleLimits = OracleLimits()
-                 ) -> list[tuple[DeliveryRoutingSolution, float]]:
+def enumerate_xi(instance: Instance) -> list[tuple[DeliveryRoutingSolution, float]]:
     """Every feasible (assignment, routes) combination under the location
     route semantics, each scored; routes cover exactly the visited node set."""
-    _check_limits(instance, limits)
+    _check_limits(instance)
     out: list[tuple[DeliveryRoutingSolution, float]] = []
     for deliveries in _assignments(instance):
         per_truck_routes: list[list[tuple[int, ...]]] = []
@@ -324,19 +318,6 @@ def enumerate_xi(instance: Instance, limits: OracleLimits = OracleLimits()
 
 
 # --- external solving -----------------------------------------------------
-
-_XML_PAIR_RE = re.compile(
-    r'name="(?P<name>[^"]+)"\s+value="(?P<value>[^"]+)"')
-
-
-def normalize_solution_text(text: str, dialect: str) -> str:
-    if dialect == "pairs":
-        return text
-    lines = []
-    for match in _XML_PAIR_RE.finditer(text):
-        lines.append(f"{match.group('name')} {match.group('value')}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
 
 _STATUS_NAMES = {"optimal": "Optimal", "feasible": "Feasible",
                  "infeasible": "Infeasible", "timelimit": "TimeLimit"}
@@ -373,7 +354,7 @@ def run_adapter(adapter: SolverAdapter, lp_text: str, time_limit_s: float
     any files it writes there are removed with it; a Python solver still
     imports what the caller's PYTHONPATH names (see _solver_environment).
 
-    Returns (normalized solution text, declared status or None). Raises
+    Returns (solution text, declared status or None). Raises
     SolverProcessError on a non-zero exit, no solution file or a timeout.
     """
     with tempfile.TemporaryDirectory(dir=adapter.workdir) as tmp:
@@ -408,8 +389,7 @@ def run_adapter(adapter: SolverAdapter, lp_text: str, time_limit_s: float
             raise SolverProcessError("solver produced no solution file")
         with open(solution_path, errors="replace") as fh:  # bad bytes fail to parse
             raw = fh.read()
-    status = _scan_status(raw)
-    return normalize_solution_text(raw, adapter.dialect), status
+    return raw, _scan_status(raw)
 
 
 def request_raw_checks(encoding, raw_routes: dict[int, tuple[int, ...]]) -> list[str]:
@@ -520,16 +500,16 @@ def _solve_encoding(form: Formulation, encoding, adapter: SolverAdapter,
                     time_limit_s: float, start: float) -> SolveOutcome:
     """solve() after encoding; the outcome's wall time runs from `start`.
     Every failure the solver's answer can cause ends as an Error outcome."""
-    status, objective, decoded, raw_routes, problems, error = (
-        "Error", None, None, None, [], "")
+    status, objective, decoded, problems, error = "Error", None, None, [], ""
     try:
         solution_text, status = run_adapter(adapter, emit_lp(encoding.model),
                                             time_limit_s)
         if status is None:
             # values without a declared status are a solution, not a proof of optimality
-            has_values = any(line.strip() and not line.startswith("#")
-                             for line in solution_text.splitlines())
-            status = "Feasible" if has_values else "Infeasible"
+            if not any(line.strip() and not line.startswith("#")
+                       for line in solution_text.splitlines()):
+                raise SolverProcessError("solver wrote neither a status nor values")
+            status = "Feasible"
         if status not in _STATUS_NAMES.values():
             raise SolverProcessError(f"solver declared status {status!r}")
         if status in ("Optimal", "Feasible"):
@@ -548,8 +528,7 @@ def _solve_encoding(form: Formulation, encoding, adapter: SolverAdapter,
         error = str(exc)
     return SolveOutcome(status="Error" if error else status, objective=objective,
                         solution=decoded, wall_time_s=time.monotonic() - start,
-                        violations=tuple(problems), raw_routes=raw_routes,
-                        error=error)
+                        violations=tuple(problems), error=error)
 
 
 # --- benchmark grid -------------------------------------------------------
@@ -609,6 +588,23 @@ def records_to_csv(records: list[BenchRecord]) -> str:
             r.seed,
         ])
     return buf.getvalue()
+
+
+def records_from_csv(text: str) -> list[BenchRecord]:
+    """The records of a bench CSV as records_to_csv writes it; raises
+    ValueError naming a missing column or a bad value."""
+    try:
+        return [BenchRecord(
+            sample=row["sample"], k=float(row["k"]), m=int(row["m"]), n=int(row["n"]),
+            formulation=row["formulation"], num_vars=int(row["num_vars"]),
+            num_rows=int(row["num_rows"]), status=row["status"],
+            objective=float(row["objective"]) if row["objective"] else None,
+            wall_time_s=float(row["wall_time_s"]) if row["wall_time_s"] else None,
+            seed=int(row["seed"])) for row in csv.DictReader(io.StringIO(text))]
+    except KeyError as exc:
+        raise ValueError(f"no column {exc}") from None
+    except TypeError as exc:  # a short row reads as None
+        raise ValueError(str(exc)) from None
 
 
 def render_markdown(records: list[BenchRecord], solver_label: str = "none",

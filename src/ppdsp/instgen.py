@@ -30,7 +30,7 @@ class PairingStalled(RuntimeError):
 # Truck classes cycle in this order until the fleet is full.
 TRUCK_CLASSES = ((25, 1.2), (20, 1.0), (15, 0.8))
 
-DEFAULT_AVG_VOLUME = 5
+AVG_VOLUME = 5
 DEFAULT_RESHUFFLE_CAP = 10**6
 
 
@@ -42,26 +42,6 @@ class TsplibSample:
     def __post_init__(self):
         if len(self.coords) < 3:
             raise ParseError("TooFewNodes: need at least 3 coordinate rows")
-
-
-@dataclass(frozen=True)
-class GenerationParams:
-    k: float
-    m: int
-    seed: int
-    avg_volume: int = DEFAULT_AVG_VOLUME
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("repetition rate k must be >= 1")
-        if self.m < 1:
-            raise ValueError("truck count m must be >= 1")
-
-
-@dataclass(frozen=True)
-class PairFamily:
-    sorted_pairs: tuple[tuple[int, int], ...]
-    repetition_counts: tuple[int, ...]
 
 
 def round_half_up(x: float) -> int:
@@ -178,18 +158,15 @@ def pair_nodes(repetition: list[int], n: int, rng: GenRng,
     raise PairingStalled(f"no valid pairing after {reshuffle_cap} reshuffles")
 
 
-def sort_pairs(repetition: list[int], pair_list: list[tuple[int, int]],
-               verbatim_decrement: bool = False) -> PairFamily:
+def sort_pairs(repetition: list[int], pair_list: list[tuple[int, int]]
+               ) -> tuple[tuple[int, int], ...]:
     """Order pairs so that truncating from the tail keeps every node covered.
 
     Pairs whose endpoints are both down to their last occurrence go to the
     front of the head; pairs with one last-occurrence endpoint append to the
     head; the rest repeatedly move to the front of the tail by maximum
-    current count-sum.
-
-    verbatim_decrement reproduces the published pseudocode's line that
-    overwrites the second endpoint's count from the first endpoint's
-    (it corrupts counts when the endpoints' counts differ; off by default).
+    current count-sum. A node's count is the number of its pairs not yet
+    placed, so every pair left has a positive count sum.
     """
     counts = list(repetition)
     pairs = list(pair_list)
@@ -209,28 +186,15 @@ def sort_pairs(repetition: list[int], pair_list: list[tuple[int, int]],
                 head.append(pairs.pop(i))
             else:
                 i += 1
-        best = 0
-        best_index = -1
-        for j, (a, b) in enumerate(pairs):
-            if counts[a] + counts[b] > best:
-                best = counts[a] + counts[b]
-                best_index = j
-        if best_index == -1 and pairs:
-            # corrupted counts (possible under verbatim_decrement) can leave
-            # every remaining pair at a nonpositive count sum; drain in order
-            # instead of spinning
-            best_index = 0
-        if best_index != -1:
-            a, b = pairs[best_index]
-            if verbatim_decrement:
-                counts[a] -= 1
-                counts[b] = counts[a] - 1
-            else:
-                counts[a] -= 1
-                counts[b] -= 1
-            tail.insert(0, pairs.pop(best_index))
-    return PairFamily(sorted_pairs=tuple(head + tail),
-                      repetition_counts=tuple(repetition))
+        if pairs:
+            # the first pair of the largest count sum
+            best = max(range(len(pairs)),
+                       key=lambda j: counts[pairs[j][0]] + counts[pairs[j][1]])
+            a, b = pairs[best]
+            counts[a] -= 1
+            counts[b] -= 1
+            tail.insert(0, pairs.pop(best))
+    return tuple(head + tail)
 
 
 def average_distance(graph: LocationGraph) -> float:
@@ -245,14 +209,14 @@ def average_distance(graph: LocationGraph) -> float:
 
 
 def make_requests(graph: LocationGraph, sorted_pairs: tuple[tuple[int, int], ...],
-                  n: int, avg_volume: int, rng: GenRng) -> list[Request]:
+                  n: int, rng: GenRng) -> list[Request]:
     if n > len(sorted_pairs):
         raise ValueError("not enough sorted pairs for n requests")
     avg_dist = average_distance(graph)
     requests = []
     for r in range(n):
-        q = round_half_up(rng.uniform(1, 2 * avg_volume - 1))
-        w = round_half_up(2 * avg_dist * q / avg_volume)
+        q = round_half_up(rng.uniform(1, 2 * AVG_VOLUME - 1))
+        w = round_half_up(2 * avg_dist * q / AVG_VOLUME)
         pickup, dropoff = sorted_pairs[r]
         # pair lists index non-depot nodes from 0; graph ids start after the depot
         requests.append(Request(id=r, w=float(w), q=q,
@@ -270,17 +234,14 @@ def make_fleet(m: int) -> list[Truck]:
     return trucks
 
 
-def generate_instance(sample: TsplibSample, params: GenerationParams) -> Instance:
-    return generate_family(sample, [params.k], params.m, params.seed,
-                           params.avg_volume)[params.k]
-
-
-def generate_family(sample: TsplibSample, k_list: list[float], m: int, seed: int,
-                    avg_volume: int = DEFAULT_AVG_VOLUME) -> dict[float, Instance]:
+def generate_family(sample: TsplibSample, k_list: list[float], m: int, seed: int
+                    ) -> dict[float, Instance]:
     """Build one pair family at max(k) and carve each smaller k out of its
     prefix, so the k-instances of one family nest."""
     if not k_list:
         raise ValueError("k_list is empty")
+    if not all(math.isfinite(k) for k in k_list):
+        raise ValueError("k must be finite")
     ks = sorted(k_list)
     graph = LocationGraph(coords=sample.coords)
     num_nondepot = graph.num_nodes - 1
@@ -288,16 +249,20 @@ def generate_family(sample: TsplibSample, k_list: list[float], m: int, seed: int
     n_max = num_requests(graph.num_nodes, k_max)
     if n_max < 1:
         raise ValueError("n must be >= 1")
+    num_pairs = num_nondepot * (num_nondepot - 1)
+    if n_max > num_pairs:
+        raise ValueError(f"n={n_max} exceeds the {num_pairs} distinct ordered "
+                         "pairs of non-depot nodes")
 
     rng = GenRng(seed)
     counts = repetition_counts(num_nondepot, n_max, rng)
     pairs = pair_nodes(counts, n_max, rng)
-    family = sort_pairs(counts, pairs)
+    sorted_pairs = sort_pairs(counts, pairs)
 
     out: dict[float, Instance] = {}
     for k in ks:
         n = num_requests(graph.num_nodes, k)
-        requests = make_requests(graph, family.sorted_pairs, n, avg_volume, rng)
+        requests = make_requests(graph, sorted_pairs, n, rng)
         trucks = make_fleet(m)
         meta = InstanceMeta(sample=sample.name, k=k, m=m, n=n, seed=seed)
         out[k] = Instance(graph=graph, requests=tuple(requests),

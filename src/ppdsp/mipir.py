@@ -263,7 +263,7 @@ def _terms_text(terms: Sequence[tuple[str, float]]) -> str:
 
 
 def emit_lp(model: MipModel) -> str:
-    """CPLEX-LP dialect text, byte-identical for identical models."""
+    """CPLEX-LP format text, byte-identical for identical models."""
     names, coefs, row_start = model.names, model.coefs, model.row_start
     objective_terms = [(name, coef) for name, coef in zip(names, model.objective)
                        if coef != 0.0]

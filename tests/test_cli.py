@@ -217,6 +217,47 @@ class TestInputErrors:
         assert main(self.bench_args("--m", "2")) == 2
         one_reason_line(capsys, "no valid pairing after 3 reshuffles")
 
+    @pytest.mark.parametrize("command, k, reason", [
+        ("gen", "inf", "k must be finite"),
+        ("bench", "1,inf", "k must be finite"),
+        ("gen", "nan", "k must be finite"),
+        ("gen", "1e300", "distinct ordered pairs"),
+        ("bench", "25", "n=163 exceeds the 156 distinct ordered pairs"),
+    ])
+    def test_impossible_k_refused_before_any_draw(self, command, k, reason, tmp_path,
+                                                  capsys, monkeypatch):
+        def drawn(*args):
+            raise AssertionError("generator drew before refusing k")
+        monkeypatch.setattr(instgen, "repetition_counts", drawn)
+        args = {"gen": ["gen", "--tsplib", data_path("burma14.tsp"), "--k", k,
+                        "--m", "2", "--seed", "0", "--out", str(tmp_path)],
+                "bench": ["bench", "--tsplib", data_path("burma14.tsp"), "--k", k,
+                          "--m", "2", "--solver", "none"]}[command]
+        assert main(args) == 2
+        one_reason_line(capsys, reason)
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--formulation", "loc", "--solver", "true {model_path}"],
+        ["bench", "--tsplib", data_path("burma14.tsp"), "--k", "1", "--m", "2"],
+        ["report", "--csv", "bench.csv"],
+    ])
+    @pytest.mark.parametrize("limit", ["nan", "inf", "0"])
+    def test_time_limit_must_be_finite_and_positive(self, args, limit, golden_path,
+                                                    capsys):
+        if args[0] == "solve":
+            args = [*args, "--instance", golden_path]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*args, f"--time-limit={limit}"])
+        assert exit_info.value.code == 2
+        assert f"{limit!r} is not a finite number > 0" in capsys.readouterr().err
+
+    def test_dialect_option_is_gone(self, golden_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", "--instance", golden_path, "--formulation", "loc",
+                  "--solver", "true {model_path}", "--dialect", "xml"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --dialect xml" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fault", [ModelError, SolutionParseError])
     def test_bench_program_fault_propagates(self, monkeypatch, fault):
         # both are ValueErrors too, but neither is bad input

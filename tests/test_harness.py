@@ -15,18 +15,17 @@ from ppdsp.cli import main
 from ppdsp.core import (DeliveryRoutingSolution, Instance, InstanceMeta,
                         LocationGraph, Request, Truck, ValidationReport,
                         Violation, ViolationKind, validate_solution, xi)
-from ppdsp.harness import (CensusMismatch, OracleLimits, OracleRefused,
-                           SolveOutcome, SolverAdapter, SolverProcessError,
-                           bench, enumerate_xi, formulation,
-                           normalize_solution_text, oracle, records_to_csv,
-                           render_markdown, run_adapter, solve)
+from ppdsp.harness import (CensusMismatch, OracleRefused, SolveOutcome,
+                           SolverAdapter, SolverProcessError, bench,
+                           enumerate_xi, formulation, oracle, records_from_csv,
+                           records_to_csv, render_markdown, run_adapter, solve)
 from ppdsp.instgen import serialize_instance
 
 GOLDEN_XI_VALUES = [-2, -1, 0, 0, 0, 1, 1, 2, 2, 2, 3, 4, 4, 5, 7, 7, 7, 8,
                     9, 10, 11]
 
 
-def stub_adapter(tmp_path, body: str, dialect: str = "pairs") -> SolverAdapter:
+def stub_adapter(tmp_path, body: str) -> SolverAdapter:
     """Adapter whose 'solver' is a tiny script writing a canned solution."""
     script = tmp_path / "stub_solver.py"
     script.write_text(
@@ -34,8 +33,7 @@ def stub_adapter(tmp_path, body: str, dialect: str = "pairs") -> SolverAdapter:
         "with open(sys.argv[2], 'w') as fh:\n"
         f"    fh.write({body!r})\n")
     return SolverAdapter(
-        command_template=f"{sys.executable} {script} {{model_path}} {{solution_path}}",
-        dialect=dialect)
+        command_template=f"{sys.executable} {script} {{model_path}} {{solution_path}}")
 
 
 class TestOracle:
@@ -67,8 +65,14 @@ class TestOracle:
         assert solution.plan_for(0).route == ()
 
     def test_refuses_large_instances(self, golden_instance):
+        too_many = harness.ORACLE_MAX_REQUESTS + 1
+        requests = tuple(Request(id=i, w=1.0, q=1, pickup=1, dropoff=2)
+                         for i in range(too_many))
+        large = dataclasses.replace(golden_instance, requests=requests)
+        with pytest.raises(OracleRefused, match=f"n={too_many}"):
+            oracle(large)
         with pytest.raises(OracleRefused):
-            oracle(golden_instance, limits=OracleLimits(max_requests=2))
+            enumerate_xi(large)
 
     def test_rejects_unknown_semantics(self, golden_instance):
         with pytest.raises(ValueError):
@@ -117,16 +121,9 @@ class TestEnumerateXi:
 
 
 class TestAdapters:
-    def test_xml_normalization(self):
-        text = ('<solution><variable name="x1" value="1"/>\n'
-                '<variable name="h_t0_v1" value="2.5"/></solution>')
-        assert normalize_solution_text(text, "xml") == "x1 1\nh_t0_v1 2.5\n"
-
     def test_template_requires_model_path(self):
         with pytest.raises(ValueError):
             SolverAdapter(command_template="mysolver")
-        with pytest.raises(ValueError):
-            SolverAdapter(command_template="mysolver {model_path}", dialect="yaml")
 
     def test_run_adapter_round_trip(self, tmp_path):
         adapter = stub_adapter(tmp_path, "# status Optimal\nx1 1\n")
@@ -194,6 +191,8 @@ FAILURE_MODES = {
     "non-finite value": ("# status Optimal\nu_t0_v1 nan\n", None, "Error",
                          "line 2: bad value 'nan'", 4),
     "no status line": ("y_t0_r0 0\n", None, "Feasible", "", 0),
+    "empty answer": ("true > {solution_path} # {model_path}", None, "Error",
+                     "solver wrote neither a status nor values", 4),
     "unknown status": ("# status Solved\n", None, "Error",
                        "solver declared status 'Solved'", 4),
     "declared error": ("# status error\n", None, "Error",
@@ -419,6 +418,14 @@ class TestBench:
         assert record.objective is None and record.wall_time_s > 0
         row = records_to_csv([record]).splitlines()[1].split(",")
         assert row[7:10] == ["Error", "", f"{record.wall_time_s:.3f}"]
+
+    def test_csv_reads_back_to_the_same_text(self, burma14, tmp_path):
+        adapter = stub_adapter(tmp_path, "# status Optimal\n# objective 0.0\n")
+        records = bench([burma14], [1, 1.5], [2], ["location", "request"], adapter,
+                        10, seed=0)
+        text = records_to_csv(records)
+        assert ",Optimal,0.000000," in text
+        assert records_to_csv(records_from_csv(text)) == text
 
     def test_workers_give_the_serial_records(self, burma14, tmp_path):
         adapter = stub_adapter(tmp_path, "# status Optimal\n# objective 0.0\n")

@@ -3,10 +3,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ppdsp.core import LocationGraph
-from ppdsp.instgen import (GenRng, GenerationParams, InfeasibleRepetition,
-                           PairingStalled, ParseError, average_distance,
-                           generate_family, generate_instance, make_fleet,
-                           num_requests, pair_nodes, parse_instance,
+from ppdsp.instgen import (GenRng, InfeasibleRepetition, PairingStalled,
+                           ParseError, average_distance, generate_family,
+                           make_fleet, num_requests, pair_nodes, parse_instance,
                            parse_tsplib, repetition_counts, round_half_up,
                            serialize_instance, sort_pairs)
 
@@ -119,20 +118,12 @@ class TestSortPairs:
         rng = GenRng(seed)
         counts = repetition_counts(6, 8, rng)
         pairs = feasible_pairing(counts, 8, rng)
-        family = sort_pairs(counts, pairs)
-        assert sorted(family.sorted_pairs) == sorted(pairs)
+        sorted_pairs = sort_pairs(counts, pairs)
+        assert sorted(sorted_pairs) == sorted(pairs)
         # last-occurrence pairs all land in the ordering, and every node
         # appears somewhere in the full list
-        covered = {v for p in family.sorted_pairs for v in p}
+        covered = {v for p in sorted_pairs for v in p}
         assert covered == set(range(6))
-
-    def test_verbatim_decrement_flag_changes_nothing_structural(self):
-        rng = GenRng(7)
-        counts = repetition_counts(6, 8, rng)
-        pairs = pair_nodes(counts, 8, rng)
-        a = sort_pairs(counts, pairs)
-        b = sort_pairs(counts, pairs, verbatim_decrement=True)
-        assert sorted(a.sorted_pairs) == sorted(b.sorted_pairs)
 
 
 class TestGeneration:
@@ -147,7 +138,7 @@ class TestGeneration:
         assert average_distance(g) == pytest.approx((3 + 4 + 5) / 3)
 
     def test_generate_sizes(self, burma14):
-        inst = generate_instance(burma14, GenerationParams(k=1, m=2, seed=7))
+        inst = generate_family(burma14, [1], 2, seed=7)[1]
         assert len(inst.requests) == 7
         assert len(inst.trucks) == 2
         assert inst.meta.sample == "burma14"
@@ -167,13 +158,13 @@ class TestGeneration:
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_determinism(self, seed, burma14):
-        a = generate_instance(burma14, GenerationParams(k=1.5, m=3, seed=seed))
-        b = generate_instance(burma14, GenerationParams(k=1.5, m=3, seed=seed))
+        a = generate_family(burma14, [1.5], 3, seed)[1.5]
+        b = generate_family(burma14, [1.5], 3, seed)[1.5]
         assert serialize_instance(a) == serialize_instance(b)
 
     def test_different_seeds_differ(self, burma14):
-        a = generate_instance(burma14, GenerationParams(k=1, m=2, seed=1))
-        b = generate_instance(burma14, GenerationParams(k=1, m=2, seed=2))
+        a = generate_family(burma14, [1], 2, seed=1)[1]
+        b = generate_family(burma14, [1], 2, seed=2)[1]
         assert serialize_instance(a) != serialize_instance(b)
 
 
@@ -181,7 +172,7 @@ class TestSerialization:
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_round_trip(self, seed, burma14):
-        inst = generate_instance(burma14, GenerationParams(k=2, m=4, seed=seed))
+        inst = generate_family(burma14, [2], 4, seed)[2]
         text = serialize_instance(inst)
         again = parse_instance(text)
         assert again == inst
