@@ -23,7 +23,7 @@ import sys
 from . import harness, instgen
 from .core import DeliveryRoutingSolution, TruckPlan, validate_solution, xi
 from .instgen import ParseError
-from .mipir import ModelError, SolutionParseError, emit_lp
+from .mipir import ModelError, emit_lp
 
 log = logging.getLogger("ppdsp")
 
@@ -207,8 +207,10 @@ def cmd_bench(args) -> int:
     try:
         records = harness.bench(samples, k_list, m_list, formulations, adapter,
                                 args.time_limit, args.seed, workers=args.workers)
-    except (ModelError, SolutionParseError):
-        raise  # an encoder or solver fault, not bad input
+    except ModelError:
+        raise  # an encoder fault, not bad input
+    except harness.CensusMismatch as exc:
+        raise CliError(str(exc), EXIT_VERIFY)
     except (ValueError, instgen.PairingStalled) as exc:
         raise CliError(str(exc))
     csv_text = harness.records_to_csv(records)

@@ -15,6 +15,7 @@ import signal
 import subprocess
 import tempfile
 import time
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -109,108 +110,75 @@ class BenchRecord:
     seed: int
 
 
-# --- feasibility primitives shared by oracle and enumeration -------------
+# --- exhaustive oracle ----------------------------------------------------
 #
-# Two capacity readings exist for a stop that both loads and unloads:
-# "strict" loads all pickups before anything is unloaded and bounds the
-# peak (the reading under which the worked golden data's exhaustive listing
-# is complete); "netted" only bounds the per-stop net load, which is exactly
-# the feasible set of the location-based MIP's load-propagation rows.
+# A route is an order of stops that puts each request's pickup stop before
+# its dropoff stop. Two capacity readings exist for a stop that both loads
+# and unloads: "strict" loads all pickups before anything is unloaded and
+# bounds the peak (the reading under which the worked golden data's
+# exhaustive listing is complete); "netted" only bounds the per-stop net
+# load, which is exactly the feasible set of the location-based MIP's
+# load-propagation rows.
 
-def _route_feasible(instance: Instance, truck: Truck, delivery: tuple[int, ...],
-                    perm: tuple[int, ...], capacity_rule: str = "strict") -> bool:
-    requests = [instance.requests[rid] for rid in delivery]
-    pos = {v: i for i, v in enumerate(perm)}
-    for r in requests:
-        if pos[r.pickup] >= pos[r.dropoff]:
-            return False
-    load = 0
-    for v in perm:
-        load += sum(r.q for r in requests if r.pickup == v)
-        if capacity_rule == "strict" and load > truck.capacity:
-            return False
-        load -= sum(r.q for r in requests if r.dropoff == v)
-        if load > truck.capacity or load < 0:
-            return False
-    return True
+def _orderings(stops: list, before: dict, up: dict, down: dict, capacity: int,
+               capacity_rule: str):
+    """Every order of `stops` that places each stop after the stops in
+    before[stop], by backtracking. A stop adds up[stop] to the load and then
+    removes down[stop]; a prefix is cut once its load leaves [0, capacity],
+    and under the "strict" rule once the peak after `up` exceeds capacity."""
+    order: list = []
+
+    def extend(load):
+        if len(order) == len(stops):
+            yield tuple(order)
+        for stop in stops:
+            peak = load + up[stop]
+            after = peak - down[stop]
+            if (stop not in order and before[stop].issubset(order)
+                    and 0 <= after <= capacity
+                    and (capacity_rule == "netted" or peak <= capacity)):
+                order.append(stop)
+                yield from extend(after)
+                order.pop()
+
+    return extend(0)
 
 
-def _route_cost(instance: Instance, truck: Truck, perm: tuple[int, ...]) -> float:
-    cost = instance.arc_cost(truck, 0, perm[0])
-    for o, d in zip(perm, perm[1:]):
+def _stop_orders(instance: Instance, truck: Truck, delivery: tuple[int, ...],
+                 semantics: str, capacity_rule: str):
+    """The feasible orders of one truck's stops: the visited locations under
+    location semantics, the (request id, is_dropoff) events under request
+    semantics."""
+    before, up, down = defaultdict(set), defaultdict(int), defaultdict(int)
+    for rid in delivery:
+        request = instance.requests[rid]
+        pickup, dropoff = ((request.pickup, request.dropoff) if semantics == "location"
+                           else ((rid, 0), (rid, 1)))
+        before[dropoff].add(pickup)
+        up[pickup] += request.q
+        down[dropoff] += request.q
+    return _orderings(sorted(up.keys() | down.keys()), before, up, down,
+                      truck.capacity, capacity_rule)
+
+
+def _route_cost(instance: Instance, truck: Truck, route: tuple[int, ...]) -> float:
+    cost = instance.arc_cost(truck, 0, route[0])
+    for o, d in zip(route, route[1:]):
         cost += instance.arc_cost(truck, o, d)
-    return cost + instance.arc_cost(truck, perm[-1], 0)
+    return cost + instance.arc_cost(truck, route[-1], 0)
 
 
-def _location_routes(instance: Instance, truck: Truck, delivery: tuple[int, ...],
-                     capacity_rule: str = "strict"):
-    """Feasible depot-rooted location cycles for one truck, as permutations
-    of the visited node set."""
-    needed = sorted({v for rid in delivery
-                     for v in (instance.requests[rid].pickup,
-                               instance.requests[rid].dropoff)})
-    for perm in itertools.permutations(needed):
-        if _route_feasible(instance, truck, delivery, perm, capacity_rule):
-            yield perm
+def _best_route(instance: Instance, truck: Truck, orders, location_of: Callable
+                ) -> Optional[tuple[float, tuple[int, ...]]]:
+    """The least (route cost, route) over the stop orders. The cost runs over
+    every stop's location; in the route, consecutive stops at one location
+    are one physical stop."""
+    def scored(order):
+        locations = tuple(map(location_of, order))
+        return (_route_cost(instance, truck, locations),
+                tuple(v for v, _ in itertools.groupby(locations)))
 
-
-def _best_location_route(instance: Instance, truck: Truck, delivery: tuple[int, ...],
-                         capacity_rule: str
-                         ) -> Optional[tuple[float, tuple[int, ...]]]:
-    return min(((_route_cost(instance, truck, perm), perm)
-                for perm in _location_routes(instance, truck, delivery, capacity_rule)),
-               default=None)
-
-
-def _event_orderings(delivery: tuple[int, ...]):
-    """All interleavings of pickup/dropoff events honouring per-request
-    precedence. Events are (request id, is_dropoff)."""
-    events = [(rid, 0) for rid in delivery] + [(rid, 1) for rid in delivery]
-
-    def backtrack(remaining: list, picked: set, chosen: list):
-        if not remaining:
-            yield tuple(chosen)
-            return
-        for i, ev in enumerate(remaining):
-            rid, is_drop = ev
-            if is_drop and rid not in picked:
-                continue
-            chosen.append(ev)
-            if not is_drop:
-                picked.add(rid)
-            yield from backtrack(remaining[:i] + remaining[i + 1:], picked, chosen)
-            chosen.pop()
-            if not is_drop:
-                picked.discard(rid)
-
-    yield from backtrack(events, set(), [])
-
-
-def _best_request_route(instance: Instance, truck: Truck, delivery: tuple[int, ...]
-                        ) -> Optional[tuple[float, tuple[int, ...]]]:
-    """Cheapest feasible pickup/dropoff event sequence; cost runs over the
-    event locations, with co-located consecutive events free."""
-    best: Optional[tuple[float, tuple[int, ...]]] = None
-    for order in _event_orderings(delivery):
-        load = 0
-        ok = True
-        for rid, is_drop in order:
-            load += -instance.requests[rid].q if is_drop else instance.requests[rid].q
-            if load > truck.capacity or load < 0:
-                ok = False
-                break
-        if not ok:
-            continue
-        locs = tuple(instance.requests[rid].dropoff if is_drop
-                     else instance.requests[rid].pickup for rid, is_drop in order)
-        cost = _route_cost(instance, truck, locs)
-        # consecutive events at one location are a single physical stop
-        collapsed = tuple(loc for i, loc in enumerate(locs)
-                          if i == 0 or loc != locs[i - 1])
-        key = (cost, collapsed)
-        if best is None or key < best:
-            best = key
-    return best
+    return min(map(scored, orders), default=None)
 
 
 def _check_limits(instance: Instance) -> None:
@@ -251,38 +219,42 @@ def oracle(instance: Instance, semantics: str = "location",
     capacity_rule "strict" bounds the peak load while a stop's pickups are
     on board (the definitional reading); "netted" bounds only the per-stop
     net load, which is the exact feasible set of the location-based MIP.
-    Request semantics handles one event per node, so the rules coincide
-    there.
+    Request semantics has one pickup or dropoff event per stop, so the rules
+    coincide there.
     """
     if semantics not in ("location", "request"):
         raise ValueError(f"unknown semantics {semantics!r}")
+    if capacity_rule not in ("strict", "netted"):
+        raise ValueError(f"unknown capacity rule {capacity_rule!r}")
     _check_limits(instance)
+
+    def location_of(stop):  # a location, or a (request id, is_dropoff) event
+        if semantics == "location":
+            return stop
+        request = instance.requests[stop[0]]
+        return request.dropoff if stop[1] else request.pickup
+
     best_value = 0.0
     best_plans: Optional[tuple[TruckPlan, ...]] = None
     for deliveries in _assignments(instance):
         value = 0.0
         plans: list[TruckPlan] = []
-        feasible = True
         for t in instance.trucks:
             delivery = deliveries[t.id]
             if not delivery:
                 plans.append(TruckPlan(t.id, frozenset(), ()))
                 continue
-            if semantics == "location":
-                found = _best_location_route(instance, t, delivery, capacity_rule)
-            else:
-                found = _best_request_route(instance, t, delivery)
+            found = _best_route(instance, t, _stop_orders(
+                instance, t, delivery, semantics, capacity_rule), location_of)
             if found is None:
-                feasible = False
                 break
-            cost, perm = found
+            cost, route = found
             value += sum(instance.requests[rid].w for rid in delivery) - cost
-            plans.append(TruckPlan(t.id, frozenset(delivery), (0,) + perm + (0,)))
-        if not feasible:
-            continue
-        if best_plans is None or value > best_value + 1e-12:
-            best_value = value
-            best_plans = tuple(plans)
+            plans.append(TruckPlan(t.id, frozenset(delivery), (0,) + route + (0,)))
+        else:  # every truck has a route
+            if best_plans is None or value > best_value + 1e-12:
+                best_value = value
+                best_plans = tuple(plans)
     if best_plans is None:  # unreachable: the empty assignment is always feasible
         raise RuntimeError("no feasible solution found")
     return best_value, DeliveryRoutingSolution(plans=best_plans)
@@ -295,25 +267,19 @@ def enumerate_xi(instance: Instance) -> list[tuple[DeliveryRoutingSolution, floa
     out: list[tuple[DeliveryRoutingSolution, float]] = []
     for deliveries in _assignments(instance):
         per_truck_routes: list[list[tuple[int, ...]]] = []
-        feasible = True
         for t in instance.trucks:
             delivery = deliveries[t.id]
-            if not delivery:
-                per_truck_routes.append([()])
-                continue
-            routes = [(0,) + perm + (0,)
-                      for perm in _location_routes(instance, t, delivery)]
+            routes = sorted((0,) + order + (0,) for order in _stop_orders(
+                instance, t, delivery, "location", "strict")) if delivery else [()]
             if not routes:
-                feasible = False
                 break
-            per_truck_routes.append(sorted(routes))
-        if not feasible:
-            continue
-        for combo in itertools.product(*per_truck_routes):
-            plans = tuple(TruckPlan(t.id, frozenset(deliveries[t.id]), combo[t.id])
-                          for t in instance.trucks)
-            solution = DeliveryRoutingSolution(plans=plans)
-            out.append((solution, xi(solution, instance)))
+            per_truck_routes.append(routes)
+        else:  # every truck has a route
+            for combo in itertools.product(*per_truck_routes):
+                plans = tuple(TruckPlan(t.id, frozenset(deliveries[t.id]), combo[t.id])
+                              for t in instance.trucks)
+                solution = DeliveryRoutingSolution(plans=plans)
+                out.append((solution, xi(solution, instance)))
     return out
 
 

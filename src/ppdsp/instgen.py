@@ -7,6 +7,7 @@ seed, so equal seeds give byte-identical instances.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -200,11 +201,11 @@ def sort_pairs(repetition: list[int], pair_list: list[tuple[int, int]]
 def average_distance(graph: LocationGraph) -> float:
     """Mean Euclidean distance over all ordered distinct node pairs."""
     nv = graph.num_nodes
+    # a running total over the rows in order (the 0.0 diagonal adds nothing),
+    # not sum(), whose float rounding differs between Python versions
     total = 0.0
-    for o in range(nv):
-        for d in range(nv):
-            if o != d:
-                total += graph.distance(o, d)
+    for dist in itertools.chain.from_iterable(graph.distances):
+        total += dist
     return total / (nv * (nv - 1))
 
 
@@ -355,56 +356,48 @@ def _truck_doc(t: Truck) -> dict:
     return doc
 
 
-def _require(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise ParseError(f"{path}: missing field '{key}'")
-    return doc[key]
-
-
 def parse_instance(text: str) -> Instance:
+    """The instance that serialize_instance wrote as `text`. Any malformed
+    part raises ParseError, naming the $.path of the object it is in."""
+    path = "$"
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"instance text is not valid JSON: {exc}") from exc
-    meta_doc = _require(doc, "meta", "$")
-    meta = InstanceMeta(sample=_require(meta_doc, "sample", "$.meta"),
-                        k=float(_require(meta_doc, "k", "$.meta")),
-                        m=int(_require(meta_doc, "m", "$.meta")),
-                        n=int(_require(meta_doc, "n", "$.meta")),
-                        seed=int(_require(meta_doc, "seed", "$.meta")))
-    locations = _require(doc, "locations", "$")
-    coords = []
-    for i, loc in enumerate(locations):
-        if _require(loc, "id", f"$.locations[{i}]") != i:
-            raise ParseError(f"$.locations[{i}]: ids must be 0..|V|-1 in order")
-        coords.append((float(loc["x"]), float(loc["y"])))
-    graph = LocationGraph(coords=tuple(coords))
-    requests = []
-    for i, rd in enumerate(_require(doc, "requests", "$")):
-        path = f"$.requests[{i}]"
-        try:
-            requests.append(Request(id=int(_require(rd, "id", path)),
-                                    w=float(_require(rd, "w", path)),
-                                    q=int(_require(rd, "q", path)),
-                                    pickup=int(_require(rd, "pickup", path)),
-                                    dropoff=int(_require(rd, "dropoff", path))))
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    trucks = []
-    for i, td in enumerate(_require(doc, "trucks", "$")):
-        path = f"$.trucks[{i}]"
-        matrix = None
-        if "costs" in td:
-            matrix = tuple(tuple(float(c) for c in row) for row in td["costs"])
-        try:
-            trucks.append(Truck(id=int(_require(td, "id", path)),
-                                capacity=int(_require(td, "capacity", path)),
-                                cost_coefficient=float(_require(td, "coefficient", path)),
+        meta_doc = doc["meta"]
+        path = "$.meta"
+        meta = InstanceMeta(sample=meta_doc["sample"], k=float(meta_doc["k"]),
+                            m=int(meta_doc["m"]), n=int(meta_doc["n"]),
+                            seed=int(meta_doc["seed"]))
+        path = "$"
+        coords = []
+        for i, loc in enumerate(doc["locations"]):
+            path = f"$.locations[{i}]"
+            if loc["id"] != i:
+                raise ValueError("ids must be 0..|V|-1 in order")
+            coords.append((float(loc["x"]), float(loc["y"])))
+        path = "$.locations"
+        graph = LocationGraph(coords=tuple(coords))
+        path = "$"
+        requests = []
+        for i, rd in enumerate(doc["requests"]):
+            path = f"$.requests[{i}]"
+            requests.append(Request(id=int(rd["id"]), w=float(rd["w"]), q=int(rd["q"]),
+                                    pickup=int(rd["pickup"]),
+                                    dropoff=int(rd["dropoff"])))
+        path = "$"
+        trucks = []
+        for i, td in enumerate(doc["trucks"]):
+            path = f"$.trucks[{i}]"
+            matrix = (tuple(tuple(float(c) for c in row) for row in td["costs"])
+                      if "costs" in td else None)
+            trucks.append(Truck(id=int(td["id"]), capacity=int(td["capacity"]),
+                                cost_coefficient=float(td["coefficient"]),
                                 cost_matrix=matrix))
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    try:
+        path = "$"
         return Instance(graph=graph, requests=tuple(requests),
                         trucks=tuple(trucks), meta=meta)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"instance text is not valid JSON: {exc}") from exc
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing field {exc}") from exc
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc

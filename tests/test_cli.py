@@ -9,7 +9,7 @@ from ppdsp import enc_location, instgen
 from ppdsp.cli import main
 from ppdsp.enc_request import predicted_counts_request
 from ppdsp.instgen import serialize_instance
-from ppdsp.mipir import ModelError, SolutionParseError
+from ppdsp.mipir import ModelError
 
 HIGHS_TEMPLATE = (f"{sys.executable} -m ppdsp.highs_solver "
                   "{model_path} {solution_path} {time_limit_s}")
@@ -258,14 +258,43 @@ class TestInputErrors:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --dialect xml" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fault", [ModelError, SolutionParseError])
+    @pytest.mark.parametrize("fault", [ModelError])
     def test_bench_program_fault_propagates(self, monkeypatch, fault):
-        # both are ValueErrors too, but neither is bad input
+        # a ValueError too, but not bad input
         def broken(instance):
             raise fault("a fault of the program")
         monkeypatch.setattr(enc_location, "encode_location", broken)
         with pytest.raises(fault, match="a fault of the program"):
             main(self.bench_args("--m", "2", "--formulations", "location"))
+
+    def test_bench_census_mismatch_is_verify_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(enc_location, "predicted_counts_location",
+                            lambda num_nodes, n, m: (0, 0))
+        assert main(self.bench_args("--m", "2", "--formulations", "location")) == 3
+        one_reason_line(capsys, "disagrees with predicted (0, 0)")
+
+    @pytest.mark.parametrize("spoil, reason", [
+        (lambda doc: doc["locations"][1].update(x="abc"),
+         "$.locations[1]: could not convert string to float: 'abc'"),
+        (lambda doc: doc["locations"][1].pop("y"), "$.locations[1]: missing field 'y'"),
+        (lambda doc: doc["meta"].update(k="abc"), "$.meta: could not convert"),
+        (lambda doc: doc.update(locations=doc["locations"][:1]),
+         "$.locations: graph needs a depot"),
+        (lambda doc: doc["locations"].__setitem__(1, 5), "$.locations[1]: 'int'"),
+        (lambda doc: doc["trucks"][1]["costs"][2].__setitem__(0, "abc"),
+         "$.trucks[1]: could not convert string to float: 'abc'"),
+        (lambda doc: doc.update(requests=3), "$: 'int' object is not iterable"),
+    ], ids=["x-text", "no-y", "k-text", "one-location", "location-not-an-object",
+            "costs-text", "requests-a-number"])
+    def test_malformed_instance(self, spoil, reason, golden_path, tmp_path, capsys):
+        # validate, build and solve read the instance the same way
+        with open(golden_path) as fh:
+            doc = json.load(fh)
+        spoil(doc)
+        path = tmp_path / "spoiled.instance"
+        path.write_text(json.dumps(doc))
+        assert main(["oracle", "--instance", str(path)]) == 2
+        one_reason_line(capsys, str(path), reason)
 
     def test_missing_solution_file(self, golden_path, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")

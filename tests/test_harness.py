@@ -75,8 +75,10 @@ class TestOracle:
             enumerate_xi(large)
 
     def test_rejects_unknown_semantics(self, golden_instance):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown semantics 'telepathy'"):
             oracle(golden_instance, "telepathy")
+        with pytest.raises(ValueError, match="unknown capacity rule 'bogus'"):
+            oracle(golden_instance, capacity_rule="bogus")
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_request_dominates_location(self, seed):

@@ -243,3 +243,33 @@ class TestMain:
         assert err.startswith("ppdsp-highs: ") and reason in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "solution.sol").exists()
+
+
+class TestLazyPackage:
+    """The package's names load their submodule on first use, so the solver
+    child, spawned once per solve, imports no encoder, harness or generator."""
+
+    @staticmethod
+    def fresh_python(code: str) -> str:
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ppdsp.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    def test_solver_child_imports_no_other_submodule(self):
+        loaded = self.fresh_python(
+            "import sys, ppdsp.highs_solver; "
+            "print(sorted(m for m in sys.modules if m.startswith('ppdsp')))")
+        assert loaded == "['ppdsp', 'ppdsp.highs_solver']"
+
+    def test_package_names_and_submodules_import(self):
+        assert self.fresh_python(
+            "from ppdsp import solve, oracle, MipModel; "
+            "from ppdsp import harness, mipir; "
+            "print(solve is harness.solve, MipModel is mipir.MipModel)") == "True True"
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+            ppdsp.nonesuch
