@@ -25,10 +25,10 @@ from __future__ import annotations
 import gc
 import sys
 
-import numpy as np
-
 SECTIONS = ("maximize", "minimize", "subject to", "bounds", "generals",
             "binaries", "end")
+# str.lower() never shortens a string, so a longer line is not a header
+_LONGEST_SECTION = max(map(len, SECTIONS))
 
 
 class LpParseError(ValueError):
@@ -36,19 +36,20 @@ class LpParseError(ValueError):
 
 
 def _split_sections(text: str) -> dict[str, list[str]]:
+    """Each section's lines, unstripped: a stripped copy of every line would
+    hold the LP text a second time."""
     sections: dict[str, list[str]] = {}
     current = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("\\"):
+    for line in text.splitlines():
+        stripped = line.strip()
+        if not stripped or stripped[0] == "\\":
             continue
-        low = line.lower()
-        if low in SECTIONS:
+        if len(stripped) <= _LONGEST_SECTION and (low := stripped.lower()) in SECTIONS:
             current = low
             sections.setdefault(current, [])
             continue
         if current is None:
-            raise LpParseError(f"content before first section: {line!r}")
+            raise LpParseError(f"content before first section: {stripped!r}")
         sections[current].append(line)
     return sections
 
@@ -59,7 +60,8 @@ def _split_sections(text: str) -> dict[str, list[str]]:
 # is classified without the ValueError that float() would raise for it.
 _NAME_START = frozenset(map(chr, range(128))) - set("0123456789.+-iInN")
 _NONFINITE_WORDS = frozenset({"inf", "infinity", "nan"})
-_COMPARATORS = frozenset({"<=", ">=", "="})
+# each comparator token -> the one str object that every row shares
+_COMPARATORS = {op: op for op in ("<=", ">=", "=")}
 
 
 def _number(tok: str) -> float | None:
@@ -72,21 +74,34 @@ def _number(tok: str) -> float | None:
         return None
 
 
-def _parse_terms(tokens: list[str]) -> list[tuple[str, float]]:
-    """Parse '3 x + y - 2 z' style linear expressions."""
+class _Numbers(dict):
+    """One parse's number tokens: `numbers[tok]` is `_number(tok)`, computed
+    once per distinct token, so that its repeats share one value."""
+
+    def __missing__(self, tok: str) -> float | None:
+        value = self[tok] = _number(tok)
+        return value
+
+
+def _parse_terms(tokens: list[str], names: dict[str, str],
+                 numbers: _Numbers) -> list[tuple[str, float]]:
+    """Parse '3 x + y - 2 z' style linear expressions. A variable name is
+    read as the str that `names` holds for it (added on first sight)."""
     terms: list[tuple[str, float]] = []
     append = terms.append
+    known = names.get
     scale = 1.0  # the pending sign times the pending coefficient
     has_coef = False
     for tok in tokens:
-        if tok[0] in _NAME_START:
-            append((tok, scale))
-            scale, has_coef = 1.0, False
-        elif tok == "+":
+        if tok == "+":
             scale, has_coef = 1.0, False
         elif tok == "-":
             scale, has_coef = -1.0, False
-        elif (value := _number(tok)) is None:
+        elif (name := known(tok)) is not None:
+            append((name, scale))
+            scale, has_coef = 1.0, False
+        elif tok[0] in _NAME_START or (value := numbers[tok]) is None:
+            names[tok] = tok
             append((tok, scale))
             scale, has_coef = 1.0, False
         elif has_coef:
@@ -99,16 +114,17 @@ def _parse_terms(tokens: list[str]) -> list[tuple[str, float]]:
     return terms
 
 
-def _bound_value(tok: str, line: str) -> float:
-    value = _number(tok)
+def _bound_value(tok: str, line: str, numbers: _Numbers) -> float:
+    value = numbers[tok]
     if value is None:
-        raise LpParseError(f"bound value {tok!r} is not a number in {line!r}")
+        raise LpParseError(f"bound value {tok!r} is not a number in {line.strip()!r}")
     return value
 
 
 def parse_lp(text: str):
     """Returns (sense, objective terms, rows, bounds, integer names, binary
-    names) where rows are (name, terms, sense, rhs)."""
+    names) where rows are (name, terms, sense, rhs). Every occurrence of a
+    variable name, a comparator or a number is one shared object."""
     sections = _split_sections(text)
     if "maximize" in sections:
         sense = "max"
@@ -122,54 +138,68 @@ def parse_lp(text: str):
     for line in objective_lines:
         _, _, rest = line.partition(":")
         obj_tokens.extend((rest if rest or ":" in line else line).split())
+    # one object per distinct token. `_parse_terms` reads any token in
+    # `names` as a name, so numbers are kept apart (a name such as 'I' has
+    # the number None), and the sections after the rows, which may hold any
+    # token, add to `names` only once every expression is read
+    names: dict[str, str] = {}
+    numbers = _Numbers()
     # what is built here holds no reference cycles, so the cyclic collector
     # would only re-scan it; pause it, and leave it as the caller had it
     collecting = gc.isenabled()
     gc.disable()
     try:
-        objective = _parse_terms(obj_tokens)
+        objective = _parse_terms(obj_tokens, names, numbers)
         rows = []
         for line in sections.get("subject to", []):
             name, colon, rest = line.partition(":")
             if not colon:
-                raise LpParseError(f"constraint without name: {line!r}")
+                raise LpParseError(f"constraint without name: {line.strip()!r}")
             tokens = rest.split()
             # 'terms <op> rhs', and no other '<', '>' or '=' in the row
-            op = tokens[-2] if len(tokens) >= 2 else None
-            if op not in _COMPARATORS:
-                raise LpParseError(f"constraint does not end in '<op> rhs': {line!r}")
+            op = _COMPARATORS.get(tokens[-2]) if len(tokens) >= 2 else None
+            if op is None:
+                raise LpParseError(f"constraint does not end in '<op> rhs': "
+                                   f"{line.strip()!r}")
             if rest.count("<") + rest.count(">") + rest.count("=") != len(op):
                 raise LpParseError(f"constraint with more than one comparator: "
-                                   f"{line!r}")
+                                   f"{line.strip()!r}")
+            if (rhs := numbers[tokens[-1]]) is None:  # float()'s own words
+                raise LpParseError(f"could not convert string to float: "
+                                   f"{tokens[-1]!r} in constraint {line.strip()!r}")
+            del tokens[-2:]
             try:
-                rhs = float(tokens[-1])
-                terms = _parse_terms(tokens[:-2])
-            except ValueError as exc:  # LpParseError included
-                raise LpParseError(f"{exc} in constraint {line!r}") from None
+                terms = _parse_terms(tokens, names, numbers)
+            except LpParseError as exc:
+                raise LpParseError(f"{exc} in constraint {line.strip()!r}") from None
             rows.append((name.strip(), terms, op, rhs))
 
         bounds: dict[str, tuple[float, float]] = {}
         for line in sections.get("bounds", []):
             tokens = line.split()
             if len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
-                bounds[tokens[2]] = (_bound_value(tokens[0], line),
-                                     _bound_value(tokens[4], line))
+                bounds[names.setdefault(tokens[2], tokens[2])] = (
+                    _bound_value(tokens[0], line, numbers),
+                    _bound_value(tokens[4], line, numbers))
             elif len(tokens) == 3 and tokens[1] == "=":
-                value = _bound_value(tokens[2], line)
-                bounds[tokens[0]] = (value, value)
+                value = _bound_value(tokens[2], line, numbers)
+                bounds[names.setdefault(tokens[0], tokens[0])] = (value, value)
             else:
-                raise LpParseError(f"unsupported bound line: {line!r}")
+                raise LpParseError(f"unsupported bound line: {line.strip()!r}")
     finally:
         if collecting:
             gc.enable()
 
-    integers = [t for line in sections.get("generals", []) for t in line.split()]
-    binaries = [t for line in sections.get("binaries", []) for t in line.split()]
+    integers = [names.setdefault(t, t) for line in sections.get("generals", [])
+                for t in line.split()]
+    binaries = [names.setdefault(t, t) for line in sections.get("binaries", [])
+                for t in line.split()]
     return sense, objective, rows, bounds, integers, binaries
 
 
 def solve_lp_text(text: str, time_limit_s: float | None = None):
     """Returns (status string, objective value or None, {name: value})."""
+    import numpy as np
     from scipy import optimize, sparse
 
     sense, objective, rows, bounds, integers, binaries = parse_lp(text)

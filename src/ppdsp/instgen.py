@@ -356,6 +356,15 @@ def _truck_doc(t: Truck) -> dict:
     return doc
 
 
+def _integer(doc: dict, key: str) -> int:
+    """doc[key], refused unless it is a JSON integer: a number with a
+    fraction, a bool or a string is not one."""
+    value = doc[key]
+    if type(value) is not int:  # a bool is an int too
+        raise ValueError(f"{key!r} must be an integer, not {value!r}")
+    return value
+
+
 def parse_instance(text: str) -> Instance:
     """The instance that serialize_instance wrote as `text`. Any malformed
     part raises ParseError, naming the $.path of the object it is in."""
@@ -365,13 +374,13 @@ def parse_instance(text: str) -> Instance:
         meta_doc = doc["meta"]
         path = "$.meta"
         meta = InstanceMeta(sample=meta_doc["sample"], k=float(meta_doc["k"]),
-                            m=int(meta_doc["m"]), n=int(meta_doc["n"]),
-                            seed=int(meta_doc["seed"]))
+                            m=_integer(meta_doc, "m"), n=_integer(meta_doc, "n"),
+                            seed=_integer(meta_doc, "seed"))
         path = "$"
         coords = []
         for i, loc in enumerate(doc["locations"]):
             path = f"$.locations[{i}]"
-            if loc["id"] != i:
+            if _integer(loc, "id") != i:
                 raise ValueError("ids must be 0..|V|-1 in order")
             coords.append((float(loc["x"]), float(loc["y"])))
         path = "$.locations"
@@ -380,16 +389,16 @@ def parse_instance(text: str) -> Instance:
         requests = []
         for i, rd in enumerate(doc["requests"]):
             path = f"$.requests[{i}]"
-            requests.append(Request(id=int(rd["id"]), w=float(rd["w"]), q=int(rd["q"]),
-                                    pickup=int(rd["pickup"]),
-                                    dropoff=int(rd["dropoff"])))
+            requests.append(Request(id=_integer(rd, "id"), w=float(rd["w"]),
+                                    q=_integer(rd, "q"), pickup=_integer(rd, "pickup"),
+                                    dropoff=_integer(rd, "dropoff")))
         path = "$"
         trucks = []
         for i, td in enumerate(doc["trucks"]):
             path = f"$.trucks[{i}]"
             matrix = (tuple(tuple(float(c) for c in row) for row in td["costs"])
                       if "costs" in td else None)
-            trucks.append(Truck(id=int(td["id"]), capacity=int(td["capacity"]),
+            trucks.append(Truck(id=_integer(td, "id"), capacity=_integer(td, "capacity"),
                                 cost_coefficient=float(td["coefficient"]),
                                 cost_matrix=matrix))
         path = "$"

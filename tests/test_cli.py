@@ -284,8 +284,15 @@ class TestInputErrors:
         (lambda doc: doc["trucks"][1]["costs"][2].__setitem__(0, "abc"),
          "$.trucks[1]: could not convert string to float: 'abc'"),
         (lambda doc: doc.update(requests=3), "$: 'int' object is not iterable"),
+        (lambda doc: doc["requests"][0].update(q=4.9),
+         "$.requests[0]: 'q' must be an integer, not 4.9"),
+        (lambda doc: doc["requests"][1].update(pickup=True),
+         "$.requests[1]: 'pickup' must be an integer, not True"),
+        (lambda doc: doc["trucks"][0].update(capacity="7"),
+         "$.trucks[0]: 'capacity' must be an integer, not '7'"),
     ], ids=["x-text", "no-y", "k-text", "one-location", "location-not-an-object",
-            "costs-text", "requests-a-number"])
+            "costs-text", "requests-a-number", "q-fraction", "pickup-bool",
+            "capacity-text"])
     def test_malformed_instance(self, spoil, reason, golden_path, tmp_path, capsys):
         # validate, build and solve read the instance the same way
         with open(golden_path) as fh:

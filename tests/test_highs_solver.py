@@ -154,6 +154,31 @@ class TestTokens:
         assert [(n, repr(c)) for n, c in got] == [(n, repr(c)) for n, c in want]
 
 
+class TestSharedTokens:
+    LP = ("Maximize\n obj: 2 x1 + y1\nSubject To\n c1: x1 + y1 <= 1\n"
+          " c2: 3 x1 - y1 >= 0\n c3: y1 = 1\n c4: x1 + y1 <= 2\nBounds\n"
+          " 0 <= x1 <= 1\n 0 <= y1 <= 5\nGenerals\n y1\nBinaries\n x1\nEnd\n")
+
+    def test_one_object_per_name_comparator_and_number(self):
+        # split() makes a new str for every occurrence of a token of two or
+        # more characters; the parse keeps the first
+        _, objective, rows, bounds, integers, binaries = parse_lp(self.LP)
+        x, y = bounds
+        assert (x, y) == ("x1", "y1")
+        for first, occurrences in [
+                (x, [objective[0][0], rows[0][1][0][0], rows[1][1][0][0], binaries[0]]),
+                (y, [objective[1][0], rows[0][1][1][0], rows[2][1][0][0], integers[0]])]:
+            assert all(name is first for name in occurrences)
+        # each comparator is one object, in every row of every parse
+        ops = [op for _, _, op, _ in rows]
+        assert ops == ["<=", ">=", "=", "<="]
+        assert ops[0] is ops[3]
+        again = [op for _, _, op, _ in parse_lp(self.LP)[2]]
+        assert all(a is b for a, b in zip(ops, again))
+        # '<= 1', '= 1' and '0 <= x1 <= 1' read the token '1' once
+        assert rows[0][3] is rows[2][3] is bounds[x][1]
+
+
 class TestMalformedRows:
     @pytest.mark.parametrize("row", [
         "c1: x + y <= 3 z",      # text after the rhs
@@ -259,10 +284,12 @@ class TestLazyPackage:
         return proc.stdout.strip()
 
     def test_solver_child_imports_no_other_submodule(self):
-        loaded = self.fresh_python(
+        loaded, numpy_loaded = self.fresh_python(
             "import sys, ppdsp.highs_solver; "
-            "print(sorted(m for m in sys.modules if m.startswith('ppdsp')))")
+            "print(sorted(m for m in sys.modules if m.startswith('ppdsp'))); "
+            "print('numpy' in sys.modules)").splitlines()
         assert loaded == "['ppdsp', 'ppdsp.highs_solver']"
+        assert numpy_loaded == "False"  # parse_lp's callers never load it
 
     def test_package_names_and_submodules_import(self):
         assert self.fresh_python(
