@@ -1,10 +1,13 @@
 """Standalone MIP solver process: reads an LP file, solves it with HiGHS
-(via scipy.optimize.milp), writes a 'name value' solution file.
+through scipy's bundled HiGHS binding, loaded by itself (no scipy.optimize,
+no numpy), and writes a 'name value' solution file.
 
 Usage: ppdsp-highs MODEL.lp SOLUTION.sol [TIME_LIMIT_S]
 
 The solution file starts with '# status <Status>' and '# objective <value>'
-comment lines, followed by one 'name value' line per nonzero variable.
+comment lines and, after a branch-and-bound run, '# gap', '# dual_bound' (in
+the model's own sense) and '# nodes' lines, followed by one 'name value'
+line per nonzero variable.
 
 Each constraint is one 'name: terms <op> rhs' line: its comparator <op>
 ('<=', '>=' or '=') is its next-to-last token, its rhs a number, and no
@@ -12,18 +15,25 @@ other '<', '>' or '=' appears after the name. A row with text after its rhs
 ('c1: x + y <= 3 z'), a second comparator ('c1: x + y <= 3 >= 4',
 'c1: x < y <= 3'), no rhs ('c1: x + y <=') or a rhs that is not a number
 ('c1: x <= abc') is refused with an LpParseError naming the line, as is a
-bound whose value is not a number ('0 <= x <= abc').
+bound whose value is not a number ('0 <= x <= abc'). The solve refuses a NaN
+coefficient, rhs or bound, naming its constraint or variable.
 
 Exit status: 0 when a solution file was written; 2 on wrong usage, a time
-limit that is not a number, an unreadable or non-UTF-8 model, an LP the
-parser refuses or an unwritable solution file, with the reason on one
-stderr line 'ppdsp-highs: <reason>'.
+limit that is not a positive number (NaN included; 'inf' means no limit),
+an unreadable or non-UTF-8 model, an LP the parser or the solve refuses, a
+missing HiGHS binding or an unwritable solution file, with the reason on
+one stderr line 'ppdsp-highs: <reason>'.
 """
 
 from __future__ import annotations
 
 import gc
+import importlib.machinery
+import importlib.util
+import os
 import sys
+from itertools import chain
+from math import inf, isnan
 
 SECTIONS = ("maximize", "minimize", "subject to", "bounds", "generals",
             "binaries", "end")
@@ -197,96 +207,172 @@ def parse_lp(text: str):
     return sense, objective, rows, bounds, integers, binaries
 
 
-def solve_lp_text(text: str, time_limit_s: float | None = None):
-    """Returns (status string, objective value or None, {name: value})."""
-    import numpy as np
-    from scipy import optimize, sparse
+# scipy's bundled HiGHS binding (scipy >= 1.17), by its full module name
+_BINDING = "scipy.optimize._highspy._core"
 
+
+class SolverMissing(ImportError):
+    """scipy's bundled HiGHS binding cannot be found or loaded."""
+
+
+def _highs():
+    """scipy's bundled HiGHS binding, loaded by itself from its file: neither
+    scipy's nor scipy.optimize's __init__ runs, so numpy is never imported.
+
+    The module is kept in sys.modules under its own name, so a later import
+    of scipy.optimize reuses it, and a process that imported scipy.optimize
+    first gets the module that scipy.optimize loaded.
+    """
+    module = sys.modules.get(_BINDING)
+    if module is not None:
+        return module
+    scipy = importlib.util.find_spec("scipy")
+    spec = None
+    if scipy is not None and scipy.submodule_search_locations:
+        finder = importlib.machinery.FileFinder(
+            os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy"),
+            (importlib.machinery.ExtensionFileLoader,
+             importlib.machinery.EXTENSION_SUFFIXES))
+        spec = finder.find_spec(_BINDING)
+    if spec is None:
+        raise SolverMissing(f"scipy's HiGHS binding {_BINDING} was not found; "
+                            "ppdsp-highs needs scipy>=1.17")
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError as exc:
+        raise SolverMissing(f"scipy's HiGHS binding {spec.origin} does not load: "
+                            f"{exc}") from None
+    sys.modules[_BINDING] = module
+    return module
+
+
+class _Columns(dict):
+    """Variable name -> column. Looking up a name not seen before gives it
+    the next column."""
+
+    def __missing__(self, name: str) -> int:
+        column = self[name] = len(self)
+        return column
+
+
+# HiGHS model status -> (status word without an incumbent, word with one);
+# every other model status, kModelError included, is "Error"
+_STATUS_WORDS = {
+    "kOptimal": ("Optimal", "Optimal"),
+    "kTimeLimit": ("TimeLimit", "Feasible"),
+    "kIterationLimit": ("TimeLimit", "Feasible"),
+    "kInfeasible": ("Infeasible", "Infeasible"),
+}
+_ERROR_WORDS = ("Error", "Error")
+
+
+def solve_lp(text: str, time_limit_s: float | None = None):
+    """Solve an LP file's text with HiGHS. Returns (status word, objective
+    value or None, {name: value}, telemetry), where telemetry holds HiGHS's
+    'gap', 'dual_bound' (in the model's own sense) and 'nodes' after a
+    branch-and-bound run, and is empty otherwise.
+
+    A NaN coefficient, rhs or bound is refused with an LpParseError. A
+    time limit of None or inf means no limit.
+    """
     sense, objective, rows, bounds, integers, binaries = parse_lp(text)
-    names: list[str] = []
-    index: dict[str, int] = {}
-
-    def intern(name: str) -> int:
-        if name not in index:
-            index[name] = len(names)
-            names.append(name)
-        return index[name]
-
+    # columns in order of first appearance: the objective, the rows, then
+    # the Bounds, Generals and Binaries sections
+    index = _Columns()
     for name, _ in objective:
-        intern(name)
-    for _, terms, _, _ in rows:
-        for name, _ in terms:
-            intern(name)
-    for name in list(bounds) + integers + binaries:
-        intern(name)
+        index[name]
 
+    # the rows as a row-wise sparse matrix
+    start, cols, coefs, row_lower, row_upper = [0], [], [], [], []
+    for _, terms, op, rhs in rows:
+        row_cols = [index[name] for name, _ in terms]
+        row_coefs = [coef for _, coef in terms]
+        if len(set(row_cols)) < len(row_cols):  # a name twice: sum its terms
+            merged: dict[int, float] = {}
+            for col, coef in zip(row_cols, row_coefs):
+                merged[col] = merged.get(col, 0.0) + coef
+            row_cols, row_coefs = list(merged), list(merged.values())
+        cols += row_cols
+        coefs += row_coefs
+        start.append(len(cols))
+        row_lower.append(-inf if op == "<=" else rhs)
+        row_upper.append(inf if op == ">=" else rhs)
+    if any(map(isnan, chain(coefs, row_lower, row_upper))):
+        name = next(name for name, terms, _, rhs in rows
+                    if isnan(rhs) or any(isnan(coef) for _, coef in terms))
+        raise LpParseError(f"NaN coefficient or rhs in constraint {name!r}")
+
+    for name in chain(bounds, integers, binaries):
+        index[name]
+    names = list(index)
     num = len(names)
-    c = np.zeros(num)
+    cost = [0.0] * num
     for name, coef in objective:
-        c[index[name]] += coef
-    if sense == "max":
-        c = -c
+        cost[index[name]] += coef
+    if any(map(isnan, cost)):
+        raise LpParseError("NaN coefficient in the objective")
+    sign = -1.0 if sense == "max" else 1.0  # HiGHS minimizes
 
-    lower = np.zeros(num)
-    upper = np.full(num, np.inf)
-    binary_set = set(binaries)
+    lower = [0.0] * num
+    upper = [inf] * num
     for name in binaries:
         upper[index[name]] = 1.0
+    binary = set(binaries)
     for name, (lo, hi) in bounds.items():
-        if name in binary_set:
-            lower[index[name]] = max(0.0, lo)
-            upper[index[name]] = min(1.0, hi)
-        else:
-            lower[index[name]] = lo
-            upper[index[name]] = hi
+        if isnan(lo) or isnan(hi):
+            raise LpParseError(f"NaN bound of {name!r}")
+        if name in binary:
+            lo, hi = max(0.0, lo), min(1.0, hi)
+        lower[index[name]], upper[index[name]] = lo, hi
 
-    integrality = np.zeros(num)
-    for name in integers + binaries:
-        integrality[index[name]] = 1
-
-    constraints = []
-    if rows:
-        data, row_idx, col_idx, lo_rhs, hi_rhs = [], [], [], [], []
-        for i, (_, terms, op, rhs) in enumerate(rows):
-            for name, coef in terms:
-                data.append(coef)
-                row_idx.append(i)
-                col_idx.append(index[name])
-            if op == "<=":
-                lo_rhs.append(-np.inf)
-                hi_rhs.append(rhs)
-            elif op == ">=":
-                lo_rhs.append(rhs)
-                hi_rhs.append(np.inf)
-            else:
-                lo_rhs.append(rhs)
-                hi_rhs.append(rhs)
-        matrix = sparse.csr_matrix((data, (row_idx, col_idx)),
-                                   shape=(len(rows), num))
-        constraints = [optimize.LinearConstraint(matrix, lo_rhs, hi_rhs)]
-
-    options = {}
+    highs = _highs()
+    solver = highs._Highs()
+    options = highs.HighsOptions()
+    options.log_to_console = False
     if time_limit_s is not None:
-        options["time_limit"] = float(time_limit_s)
-    result = optimize.milp(c, constraints=constraints,
-                           bounds=optimize.Bounds(lower, upper),
-                           integrality=integrality, options=options)
+        options.time_limit = float(time_limit_s)
+    solver.passOptions(options)
+    # the binding takes every array of the LP as a list except col_cost_,
+    # which it converts through numpy. So HiGHS sizes the columns itself,
+    # takes the costs one column at a time, and the LP it holds then is
+    # completed and passed back whole
+    for _ in range(num):
+        solver.addVar(0.0, 0.0)
+    for j, coef in enumerate(cost):
+        if coef:
+            solver.changeColCost(j, sign * coef)
+    lp = solver.getLp()
+    lp.col_lower_, lp.col_upper_ = lower, upper
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(rows)
+    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
+    lp.a_matrix_.format_ = highs.MatrixFormat.kRowwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, cols, coefs
+    if integers or binaries:
+        integrality = [highs.HighsVarType.kContinuous] * num
+        for name in chain(integers, binaries):
+            integrality[index[name]] = highs.HighsVarType.kInteger
+        lp.integrality_ = integrality
+    if solver.passModel(lp) == highs.HighsStatus.kError:  # as kModelError
+        return "Error", None, {}, {}
+    solver.run()
+    info = solver.getInfo()
+    incumbent = info.primal_solution_status == highs.kSolutionStatusFeasible
+    status = _STATUS_WORDS.get(solver.getModelStatus().name, _ERROR_WORDS)[incumbent]
+    telemetry = {}
+    if info.mip_node_count >= 0:
+        telemetry = {"gap": info.mip_gap, "dual_bound": sign * info.mip_dual_bound,
+                     "nodes": info.mip_node_count}
+    if status not in ("Optimal", "Feasible"):
+        return status, None, {}, telemetry
+    values = dict(zip(names, solver.getSolution().col_value))
+    return status, sign * info.objective_function_value, values, telemetry
 
-    if result.status == 0:
-        status = "Optimal"
-    elif result.status == 1:
-        status = "Feasible" if result.x is not None else "TimeLimit"
-    elif result.status == 2:
-        status = "Infeasible"
-    else:
-        status = "Error"
-    if result.x is None:
-        return status, None, {}
-    objective_value = float(result.fun)
-    if sense == "max":
-        objective_value = -objective_value
-    values = {names[i]: float(result.x[i]) for i in range(num)}
-    return status, objective_value, values
+
+def solve_lp_text(text: str, time_limit_s: float | None = None):
+    """Returns (status string, objective value or None, {name: value}): the
+    first three items of solve_lp."""
+    return solve_lp(text, time_limit_s)[:3]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -300,18 +386,24 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError:
         print(f"ppdsp-highs: time limit {args[2]!r} is not a number", file=sys.stderr)
         return 2
+    if time_limit is not None and not time_limit > 0:  # NaN too
+        print(f"ppdsp-highs: time limit {args[2]!r} is not a positive number",
+              file=sys.stderr)
+        return 2
     try:
         with open(model_path) as fh:
             text = fh.read()
-        status, objective, values = solve_lp_text(text, time_limit)
+        status, objective, values, telemetry = solve_lp(text, time_limit)
         with open(solution_path, "w") as fh:
             fh.write(f"# status {status}\n")
             if objective is not None:
                 fh.write(f"# objective {objective!r}\n")
+            for key, value in telemetry.items():
+                fh.write(f"# {key} {value!r}\n")
             for name, value in values.items():
                 if value != 0.0:
                     fh.write(f"{name} {value!r}\n")
-    except (LpParseError, OSError, UnicodeDecodeError) as exc:
+    except (LpParseError, SolverMissing, OSError, UnicodeDecodeError) as exc:
         print(f"ppdsp-highs: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ppdsp
+from conftest import small_random_instance
 from ppdsp.enc_location import encode_location
 from ppdsp.enc_request import encode_request
-from ppdsp.highs_solver import LpParseError, main, parse_lp
-from ppdsp.mipir import ModelBuilder, Sense, VarKind, emit_lp
+from ppdsp.highs_solver import LpParseError, main, parse_lp, solve_lp_text
+from ppdsp.mipir import ModelBuilder, Sense, VarKind, emit_lp, parse_solution
 from test_mipir import tiny_model
 
 NEG_INF, POS_INF = float("-inf"), float("inf")
@@ -258,7 +259,16 @@ class TestMain:
          "time limit 'abc' is not a number"),
         (b"Maximize\n obj: x\nSubject To\n c1: x <= 1\nBounds\n 0 <= x <= abc\nEnd\n",
          "10", "0 <= x <= abc"),
-    ], ids=["not-utf8", "time-limit", "bound"])
+        (b"Maximize\n obj: x\nSubject To\n c1: x <= 1\nEnd\n", "-1",
+         "time limit '-1' is not a positive number"),
+        (b"Maximize\n obj: x\nSubject To\n c1: x <= 1\nEnd\n", "0",
+         "time limit '0' is not a positive number"),
+        (b"Maximize\n obj: x\nSubject To\n c1: x <= 1\nEnd\n", "nan",
+         "time limit 'nan' is not a positive number"),
+        (b"Maximize\n obj: x\nSubject To\n c1: nan x <= 1\nBounds\n 0 <= x <= 5\nEnd\n",
+         "10", "constraint 'c1'"),
+    ], ids=["not-utf8", "time-limit", "bound", "negative-limit", "zero-limit",
+            "nan-limit", "nan-coefficient"])
     def test_bad_input_exits_2_with_one_reason_line(self, tmp_path, capsys,
                                                      content, limit, reason):
         model = tmp_path / "model.lp"
@@ -268,6 +278,199 @@ class TestMain:
         assert err.startswith("ppdsp-highs: ") and reason in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "solution.sol").exists()
+
+
+    def test_infinite_time_limit_means_no_limit(self, tmp_path):
+        model = tmp_path / "model.lp"
+        model.write_text("Maximize\n obj: x\nSubject To\n c1: x <= 1\nEnd\n")
+        assert main([str(model), str(tmp_path / "solution.sol"), "inf"]) == 0
+        assert (tmp_path / "solution.sol").read_text() == (
+            "# status Optimal\n# objective 1.0\nx 1.0\n")
+
+
+class TestNan:
+    """HiGHS reads a NaN as a number; the solve refuses it first."""
+
+    @pytest.mark.parametrize("lp, where", [
+        ("Maximize\n obj: x\nSubject To\n c1: nan x <= 1\nBounds\n 0 <= x <= 5\nEnd\n",
+         "constraint 'c1'"),
+        ("Maximize\n obj: x\nSubject To\n c1: x <= 1\n c2: x + y <= NaN\nEnd\n",
+         "constraint 'c2'"),
+        ("Maximize\n obj: x + nan y\nSubject To\n c1: x <= 1\nEnd\n", "objective"),
+        ("Maximize\n obj: x\nSubject To\n c1: x <= 1\nBounds\n 0 <= x <= nan\nEnd\n",
+         "bound of 'x'"),
+        ("Maximize\n obj: x\nSubject To\n c1: x <= 1\nBounds\n y = nan\nBinaries\n y\nEnd\n",
+         "bound of 'y'"),
+    ], ids=["coefficient", "rhs", "objective", "bound", "clamped-binary-bound"])
+    def test_refused_naming_where(self, lp, where):
+        with pytest.raises(LpParseError, match="NaN") as info:
+            solve_lp_text(lp)
+        assert where in str(info.value)
+
+
+class TestStatusWords:
+    """Each HiGHS model status ends as one status word."""
+
+    @pytest.mark.parametrize("lp, limit, status", [
+        ("Maximize\n obj: x\nSubject To\n c1: x >= 3\n c2: x <= 1\nEnd\n",
+         None, "Infeasible"),
+        ("Maximize\n obj: x\nSubject To\n c1: x >= 3\nEnd\n", None, "Error"),
+        # a model HiGHS refuses to load (kModelError) is not an infeasible one
+        ("Maximize\n obj: x\nSubject To\n c1: inf x <= 3\nEnd\n", None, "Error"),
+        # stopped before any incumbent: x = y = 0 breaks c1
+        ("Maximize\n obj: x + y\nSubject To\n c1: x + y >= 1\n c2: x - y <= 0\n"
+         "Binaries\n x y\nEnd\n", 1e-9, "TimeLimit"),
+        ("Minimize\n obj: x + 2 y\nSubject To\n c1: x + y >= 1.5\nGenerals\n x\n"
+         "End\n", None, "Optimal"),
+    ], ids=["infeasible", "unbounded", "model-error", "no-incumbent", "optimal"])
+    def test_table(self, lp, limit, status):
+        got_status, objective, values = solve_lp_text(lp, limit)
+        assert got_status == status
+        if status == "Optimal":
+            assert (objective, values) == (2.0, {"x": 2.0, "y": 0.0})
+        else:
+            assert (objective, values) == (None, {})
+
+    def test_duplicate_terms_are_summed(self):
+        lp = "Maximize\n obj: x\nSubject To\n c1: x + x <= 3\nEnd\n"
+        assert solve_lp_text(lp) == ("Optimal", 1.5, {"x": 1.5})
+
+
+class TestTelemetry:
+    @pytest.mark.parametrize("encode", [encode_location, encode_request])
+    def test_golden_solution_header(self, tmp_path, golden_instance, encode):
+        model = encode(golden_instance).model
+        (tmp_path / "model.lp").write_text(emit_lp(model))
+        solution = tmp_path / "solution.sol"
+        assert main([str(tmp_path / "model.lp"), str(solution), "60"]) == 0
+        text = solution.read_text()
+        header = dict(line[2:].split(" ", 1) for line in text.splitlines()
+                      if line.startswith("#"))
+        assert list(header) == ["status", "objective", "gap", "dual_bound", "nodes"]
+        assert header["status"] == "Optimal"
+        objective = float(header["objective"])
+        # a maximization's bound, in its own sense: no lower than the optimum,
+        # and within HiGHS's default relative gap of 1e-4
+        dual_bound, gap = float(header["dual_bound"]), float(header["gap"])
+        assert objective <= dual_bound <= objective + 1e-4 * abs(objective)
+        assert 0.0 <= gap <= 1e-4
+        assert int(header["nodes"]) >= 0
+        # the reader skips the header; the values still decode
+        assert parse_solution(text, model)
+
+
+def milp_reference(text: str):
+    """(status, objective, values) from scipy.optimize.milp on the arrays of
+    parse_lp(text): columns in order of first appearance, rows as a sparse
+    matrix built from (row, column) pairs."""
+    import numpy as np
+    from scipy import optimize, sparse
+
+    sense, objective, rows, bounds, integers, binaries = parse_lp(text)
+    index: dict[str, int] = {}
+    for name in [name for name, _ in objective] + [
+            name for _, terms, _, _ in rows for name, _ in terms] + [
+            *bounds, *integers, *binaries]:
+        index.setdefault(name, len(index))
+    c = np.zeros(len(index))
+    for name, coef in objective:
+        c[index[name]] += coef
+    lower, upper = np.zeros(len(index)), np.full(len(index), np.inf)
+    upper[[index[name] for name in binaries]] = 1.0
+    for name, (lo, hi) in bounds.items():
+        if name in binaries:
+            lo, hi = max(0.0, lo), min(1.0, hi)
+        lower[index[name]], upper[index[name]] = lo, hi
+    integrality = np.zeros(len(index))
+    integrality[[index[name] for name in integers + binaries]] = 1
+    entries = [(i, index[name], coef) for i, (_, terms, _, _) in enumerate(rows)
+               for name, coef in terms]
+    row_idx, col_idx, data = zip(*entries)
+    matrix = sparse.csr_matrix((data, (row_idx, col_idx)), shape=(len(rows), len(index)))
+    lo_rhs = [-np.inf if op == "<=" else rhs for _, _, op, rhs in rows]
+    hi_rhs = [np.inf if op == ">=" else rhs for _, _, op, rhs in rows]
+    result = optimize.milp(-c if sense == "max" else c, integrality=integrality,
+                           bounds=optimize.Bounds(lower, upper),
+                           constraints=[optimize.LinearConstraint(matrix, lo_rhs, hi_rhs)])
+    status = {0: "Optimal", 2: "Infeasible"}.get(result.status, "Error")
+    if result.x is None:
+        return status, None, {}
+    objective_value = -result.fun if sense == "max" else result.fun
+    return status, float(objective_value), dict(zip(index, map(float, result.x)))
+
+
+class TestBinding:
+    """The solver reaches scipy's HiGHS binding without scipy.optimize."""
+
+    LP = "Maximize\n obj: 2 x + 3 y\nSubject To\n c1: x + y <= 1.5\nBinaries\n x y\nEnd\n"
+
+    def test_solver_child_imports_neither_numpy_nor_scipy_optimize(self, tmp_path):
+        model = tmp_path / "model.lp"
+        model.write_text(self.LP)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ppdsp.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "ppdsp.highs_solver", str(model),
+             str(tmp_path / "solution.sol")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "solution.sol").read_text().startswith(
+            "# status Optimal\n# objective 3.0\n")
+        imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "ppdsp" in imported  # the listing holds the package -m ran from
+        assert not {name for name in imported
+                    if name.split(".")[0] in ("numpy", "scipy")}
+
+    def test_missing_binding_exits_2_with_one_reason_line(self, tmp_path):
+        # a scipy package without the binding, found before the real one
+        (tmp_path / "scipy").mkdir()
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        model = tmp_path / "model.lp"
+        model.write_text(self.LP)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ppdsp.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ppdsp.highs_solver", str(model),
+             str(tmp_path / "solution.sol")],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), src])},
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "ppdsp-highs: scipy's HiGHS binding scipy.optimize._highspy._core was "
+            "not found; ppdsp-highs needs scipy>=1.17"]
+        assert not (tmp_path / "solution.sol").exists()
+
+    @pytest.mark.parametrize("first", ["binding", "scipy.optimize"])
+    def test_loads_before_and_after_scipy_optimize(self, first):
+        """Either order, in one process: one binding module, which
+        scipy.optimize's own wrapper uses too, and both the solver and
+        scipy.optimize.milp work."""
+        steps = {
+            "binding": "from ppdsp import highs_solver; "
+                       f"print(highs_solver.solve_lp_text({self.LP!r})); ",
+            "scipy.optimize": "from scipy import optimize; "
+                              "print(optimize.milp([-2, -3], integrality=[1, 1], "
+                              "bounds=(0, 1), constraints=optimize.LinearConstraint("
+                              "[[1, 1]], -float('inf'), 1.5)).x.tolist()); ",
+        }
+        second = "scipy.optimize" if first == "binding" else "binding"
+        out = TestLazyPackage.fresh_python(
+            steps[first] + steps[second] +
+            "import sys; from ppdsp import highs_solver; "
+            "from scipy.optimize._highspy import _highs_wrapper; "
+            "print(highs_solver._highs() is sys.modules["
+            "'scipy.optimize._highspy._core'] is _highs_wrapper._h)").splitlines()
+        assert sorted(out[:2]) == ["('Optimal', 3.0, {'x': 0.0, 'y': 1.0})", "[0.0, 1.0]"]
+        assert out[2] == "True"
+
+    # criterion 4's seeds 0-8 but 2, 3 and 6, whose request models take 2-3 s
+    # each to solve
+    @pytest.mark.parametrize("seed", [None, 0, 1, 4, 5, 7, 8])
+    def test_same_answer_as_milp(self, golden_instance, seed):
+        instance = golden_instance if seed is None else small_random_instance(seed)
+        for encode in (encode_location, encode_request):
+            text = emit_lp(encode(instance).model)
+            assert solve_lp_text(text) == milp_reference(text)
 
 
 class TestLazyPackage:
@@ -289,7 +492,7 @@ class TestLazyPackage:
             "print(sorted(m for m in sys.modules if m.startswith('ppdsp'))); "
             "print('numpy' in sys.modules)").splitlines()
         assert loaded == "['ppdsp', 'ppdsp.highs_solver']"
-        assert numpy_loaded == "False"  # parse_lp's callers never load it
+        assert numpy_loaded == "False"  # and no solve loads it either
 
     def test_package_names_and_submodules_import(self):
         assert self.fresh_python(

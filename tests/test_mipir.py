@@ -332,9 +332,10 @@ class TestEvaluation:
 
 
 def test_import_loads_no_numpy():
-    # numpy costs about 0.1 s to import and 11 MB of resident memory; only
-    # highs_solver.solve_lp_text loads it, in the solver process. The star
-    # import loads every submodule that the package's names come from.
+    # numpy costs about 0.1 s to import and 11 MB of resident memory; no
+    # part of the package loads it (the solver reaches HiGHS through scipy's
+    # binding alone). The star import loads every submodule that the
+    # package's names come from.
     src = os.path.dirname(os.path.dirname(os.path.abspath(ppdsp.__file__)))
     proc = subprocess.run(
         [sys.executable, "-c",
