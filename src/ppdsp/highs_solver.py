@@ -7,7 +7,8 @@ Usage: ppdsp-highs MODEL.lp SOLUTION.sol [TIME_LIMIT_S]
 The solution file starts with '# status <Status>' and '# objective <value>'
 comment lines and, after a branch-and-bound run, '# gap', '# dual_bound' (in
 the model's own sense) and '# nodes' lines, followed by one 'name value'
-line per nonzero variable.
+line per nonzero variable. A zero objective or bound is written as 0.0, not
+-0.0.
 
 Each constraint is one 'name: terms <op> rhs' line: its comparator <op>
 ('<=', '>=' or '=') is its next-to-last token, its rhs a number, and no
@@ -93,33 +94,58 @@ class _Numbers(dict):
         return value
 
 
-def _parse_terms(tokens: list[str], names: dict[str, str],
-                 numbers: _Numbers) -> list[tuple[str, float]]:
-    """Parse '3 x + y - 2 z' style linear expressions. A variable name is
-    read as the str that `names` holds for it (added on first sight)."""
+class _Shared:
+    """One parse's shared objects: the str first read for each variable name
+    (added on first sight), each number token's value, the negated value of
+    each number token read after '-', and each name's unit terms (name, 1.0)
+    and (name, -1.0). `names` holds no number token, so that `_parse_terms`
+    can read any token in it as a name."""
+
+    def __init__(self):
+        self.names: dict[str, str] = {}
+        self.numbers = _Numbers()
+        self.negated: dict[str, float] = {}
+        self.plus: dict[str, tuple[str, float]] = {}
+        self.minus: dict[str, tuple[str, float]] = {}
+
+
+def _parse_terms(tokens: list[str], shared: _Shared) -> list[tuple[str, float]]:
+    """Parse '3 x + y - 2 z' style linear expressions into (name, coefficient)
+    terms, built from the objects that `shared` holds."""
     terms: list[tuple[str, float]] = []
     append = terms.append
+    names, numbers, negated = shared.names, shared.numbers, shared.negated
+    plus, minus = shared.plus, shared.minus
     known = names.get
-    scale = 1.0  # the pending sign times the pending coefficient
-    has_coef = False
+    units = plus  # the unit terms of the pending sign
+    coef = None  # the pending coefficient, signed, if one was read
     for tok in tokens:
         if tok == "+":
-            scale, has_coef = 1.0, False
+            units, coef = plus, None
         elif tok == "-":
-            scale, has_coef = -1.0, False
-        elif (name := known(tok)) is not None:
-            append((name, scale))
-            scale, has_coef = 1.0, False
-        elif tok[0] in _NAME_START or (value := numbers[tok]) is None:
-            names[tok] = tok
-            append((tok, scale))
-            scale, has_coef = 1.0, False
-        elif has_coef:
+            units, coef = minus, None
+        elif coef is None and (term := units.get(tok)) is not None:
+            append(term)
+            units = plus
+        elif ((name := known(tok)) is not None or tok[0] in _NAME_START
+              or (value := numbers[tok]) is None):
+            if name is None:
+                name = names[tok] = tok
+            if coef is None:
+                term = units[name] = (name, 1.0 if units is plus else -1.0)
+                append(term)
+            else:
+                append((name, coef))
+            units, coef = plus, None
+        elif coef is not None:
             raise LpParseError(f"two consecutive numbers near {tok!r}")
+        elif units is minus:
+            coef = negated.get(tok)
+            if coef is None:
+                coef = negated[tok] = -value
         else:
-            scale *= value
-            has_coef = True
-    if has_coef:
+            coef = value
+    if coef is not None:
         raise LpParseError("dangling coefficient at end of expression")
     return terms
 
@@ -134,7 +160,9 @@ def _bound_value(tok: str, line: str, numbers: _Numbers) -> float:
 def parse_lp(text: str):
     """Returns (sense, objective terms, rows, bounds, integer names, binary
     names) where rows are (name, terms, sense, rhs). Every occurrence of a
-    variable name, a comparator or a number is one shared object."""
+    variable name, a comparator or a number is one shared object, and so is
+    every unit term (name, 1.0) or (name, -1.0) of one name and sign, and
+    every coefficient read as '- <number>' of one number token."""
     sections = _split_sections(text)
     if "maximize" in sections:
         sense = "max"
@@ -148,18 +176,16 @@ def parse_lp(text: str):
     for line in objective_lines:
         _, _, rest = line.partition(":")
         obj_tokens.extend((rest if rest or ":" in line else line).split())
-    # one object per distinct token. `_parse_terms` reads any token in
-    # `names` as a name, so numbers are kept apart (a name such as 'I' has
-    # the number None), and the sections after the rows, which may hold any
-    # token, add to `names` only once every expression is read
-    names: dict[str, str] = {}
-    numbers = _Numbers()
+    # the sections after the rows, which may hold any token, add to `names`
+    # only once every expression is read
+    shared = _Shared()
+    names, numbers = shared.names, shared.numbers
     # what is built here holds no reference cycles, so the cyclic collector
     # would only re-scan it; pause it, and leave it as the caller had it
     collecting = gc.isenabled()
     gc.disable()
     try:
-        objective = _parse_terms(obj_tokens, names, numbers)
+        objective = _parse_terms(obj_tokens, shared)
         rows = []
         for line in sections.get("subject to", []):
             name, colon, rest = line.partition(":")
@@ -179,7 +205,7 @@ def parse_lp(text: str):
                                    f"{tokens[-1]!r} in constraint {line.strip()!r}")
             del tokens[-2:]
             try:
-                terms = _parse_terms(tokens, names, numbers)
+                terms = _parse_terms(tokens, shared)
             except LpParseError as exc:
                 raise LpParseError(f"{exc} in constraint {line.strip()!r}") from None
             rows.append((name.strip(), terms, op, rhs))
@@ -361,12 +387,14 @@ def solve_lp(text: str, time_limit_s: float | None = None):
     status = _STATUS_WORDS.get(solver.getModelStatus().name, _ERROR_WORDS)[incumbent]
     telemetry = {}
     if info.mip_node_count >= 0:
-        telemetry = {"gap": info.mip_gap, "dual_bound": sign * info.mip_dual_bound,
+        # + 0.0, here and at the return: a max negates HiGHS's 0.0 into -0.0
+        telemetry = {"gap": info.mip_gap,
+                     "dual_bound": sign * info.mip_dual_bound + 0.0,
                      "nodes": info.mip_node_count}
     if status not in ("Optimal", "Feasible"):
         return status, None, {}, telemetry
     values = dict(zip(names, solver.getSolution().col_value))
-    return status, sign * info.objective_function_value, values, telemetry
+    return status, sign * info.objective_function_value + 0.0, values, telemetry
 
 
 def solve_lp_text(text: str, time_limit_s: float | None = None):

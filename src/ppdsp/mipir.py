@@ -92,7 +92,9 @@ class MipModel:
     Variable j is names[j], of kind kinds[j], within [lowers[j], uppers[j]],
     with objective coefficient objective[j]. Row i is row_names[i]: the sum
     of coefs[k] times variable cols[k] over k in row_start[i]:row_start[i+1],
-    compared by senses[i] with rhs[i].
+    compared by senses[i] with rhs[i]. A model that ModelBuilder built from
+    rows added after their variables holds one int object per column in
+    cols, shared by every term naming it.
     """
 
     names: list[str]
@@ -182,6 +184,7 @@ class ModelBuilder:
         self._row_start: list[int] = [0]
         self._cols: list[int] = []
         self._coefs: list[float] = []
+        self._columns: list[int] = []  # _columns[j] is j: the object cols holds
 
     def add_variables(self, names: Sequence[str], kind: VarKind,
                       lowers: Sequence[float], uppers: Sequence[float],
@@ -191,6 +194,7 @@ class ModelBuilder:
         if not len(names) == len(lowers) == len(uppers) == len(objective):
             raise ModelError("variable columns differ in length")
         first = len(self._names)
+        self._columns.extend(range(first, first + len(names)))
         self._names.extend(names)
         self._kinds.extend(repeat(kind, len(names)))
         self._lowers.extend(lowers)
@@ -204,11 +208,17 @@ class ModelBuilder:
         """Row i takes the next lengths[i] entries of cols and coefs.
 
         Terms are kept as given, zero coefficients included; a variable
-        repeated within a row is rejected by build().
+        repeated within a row is rejected by build(). When every entry of
+        cols names a column already added, cols holds one shared int object
+        per column, not one per term; otherwise its values are kept as
+        given, so that build() refuses an undeclared one.
         """
         if not len(names) == len(senses) == len(rhs) == len(lengths):
             raise ModelError("row columns differ in length")
         end = self._row_start[-1]
+        cols = list(cols)
+        if cols and 0 <= min(cols) and max(cols) < len(self._columns):
+            cols = map(self._columns.__getitem__, cols)
         self._cols.extend(cols)
         self._coefs.extend(coefs)
         if not len(self._cols) == len(self._coefs) == end + sum(lengths):
@@ -257,35 +267,41 @@ def _next_text(coef: float) -> str:
     return f"{sign} {_num(mag)} " if mag != 1 else f"{sign} "
 
 
-def _terms_text(terms: Sequence[tuple[str, float]]) -> str:
-    return " ".join((_next_text if i else _lead_text)(coef) + var
-                    for i, (var, coef) in enumerate(terms))
+def _term_texts(coefs: Sequence[float], term_names: Sequence[str],
+                firsts: Iterable[int], lead: dict[float, str],
+                later: dict[float, str]) -> list[str]:
+    """Each term's text, from the per-coefficient texts: every term written
+    as a later term, then the term at each index in firsts as a first."""
+    texts = list(map(add, map(later.__getitem__, coefs), term_names))
+    for s in firsts:
+        texts[s] = lead[coefs[s]] + term_names[s]
+    return texts
 
 
 def emit_lp(model: MipModel) -> str:
     """CPLEX-LP format text, byte-identical for identical models."""
-    names, coefs, row_start = model.names, model.coefs, model.row_start
-    objective_terms = [(name, coef) for name, coef in zip(names, model.objective)
-                       if coef != 0.0]
-    if objective_terms:
-        obj_line = " obj: " + _terms_text(objective_terms)
+    names, objective, coefs, row_start = (model.names, model.objective,
+                                          model.coefs, model.row_start)
+    distinct = {*coefs, *objective}
+    lead = {coef: _lead_text(coef) for coef in distinct}
+    later = {coef: _next_text(coef) for coef in distinct}
+    nonzero = list(map(ne, objective, repeat(0.0)))
+    if any(nonzero):
+        obj_line = " obj: " + " ".join(_term_texts(
+            list(compress(objective, nonzero)), list(compress(names, nonzero)),
+            [0], lead, later))
     else:
         obj_line = " obj: 0 " + names[0] if names else " obj:"
     lines: list[str] = ["Maximize", obj_line, "Subject To"]
-    # every term written as a later term, then each row's first re-prefixed
-    distinct = set(coefs)
-    lead = {coef: _lead_text(coef) for coef in distinct}
-    later = {coef: _next_text(coef) for coef in distinct}
-    term_names = list(map(names.__getitem__, model.cols))
-    texts = list(map(add, map(later.__getitem__, coefs), term_names))
-    for s in row_start[:-1]:
-        texts[s] = lead[coefs[s]] + term_names[s]
+    texts = _term_texts(coefs, list(map(names.__getitem__, model.cols)),
+                        row_start[:-1], lead, later)
     sense_text = {sense: sense.value for sense in Sense}
     rhs_text = {rhs: _num(rhs) for rhs in set(model.rhs)}
     lines.extend(f" {name}: {' '.join(texts[s:e])} {sense_text[sense]} {rhs_text[rhs]}"
                  for name, s, e, sense, rhs in zip(model.row_names, row_start,
                                                    row_start[1:], model.senses,
                                                    model.rhs))
+    del texts  # the row lines hold these texts again
     lines.append("Bounds")
     bound_text = {bound: _num(bound) for bound in {*model.lowers, *model.uppers}
                   if bound not in (NEG_INF, POS_INF)}
@@ -306,8 +322,8 @@ def emit_lp(model: MipModel) -> str:
     if binaries:
         lines.append("Binaries")
         lines.extend(f" {name}" for name in binaries)
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    lines += "End", ""  # the text ends in a newline, with no second copy
+    return "\n".join(lines)
 
 
 def parse_solution(text: str, model: MipModel) -> dict[str, float]:

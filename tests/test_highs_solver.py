@@ -1,4 +1,5 @@
 import gc
+import math
 import os
 import subprocess
 import sys
@@ -179,6 +180,22 @@ class TestSharedTokens:
         # '<= 1', '= 1' and '0 <= x1 <= 1' read the token '1' once
         assert rows[0][3] is rows[2][3] is bounds[x][1]
 
+    def test_one_object_per_unit_term_and_negated_coefficient(self):
+        lp = ("Maximize\n obj: x1 - 3 y1\nSubject To\n c1: x1 - y1 <= 1\n"
+              " c2: y1 - x1 - 3 y2 >= 0\n c3: x1 - 3 y2 - y1 <= 2\nEnd\n")
+        _, objective, rows, _, _, _ = parse_lp(lp)
+        (_, c1, _, _), (_, c2, _, _), (_, c3, _, _) = rows
+        assert objective == [("x1", 1.0), ("y1", -3.0)]
+        assert c1 == [("x1", 1.0), ("y1", -1.0)]
+        assert c2 == [("y1", 1.0), ("x1", -1.0), ("y2", -3.0)]
+        assert c3 == [("x1", 1.0), ("y2", -3.0), ("y1", -1.0)]
+        # x1's unit term is one tuple wherever x1 appears with one sign
+        assert objective[0] is c1[0] is c3[0]
+        assert c2[1] == ("x1", -1.0) and c2[1] is not c1[0]
+        assert c1[1] is c3[2]
+        # each '- 3' reads as one negated float
+        assert objective[1][1] is c2[2][1] is c3[1][1]
+
 
 class TestMalformedRows:
     @pytest.mark.parametrize("row", [
@@ -357,6 +374,21 @@ class TestTelemetry:
         assert int(header["nodes"]) >= 0
         # the reader skips the header; the values still decode
         assert parse_solution(text, model)
+
+    def test_zero_optimum_of_a_maximization_is_written_as_positive_zero(self, tmp_path):
+        # HiGHS minimizes -obj, so a maximization's 0 comes back negated
+        (tmp_path / "model.lp").write_text(
+            "Maximize\n obj: - x\nSubject To\n c1: x <= 1\nBounds\n"
+            " 0 <= x <= 1\nGenerals\n x\nEnd\n")
+        solution = tmp_path / "solution.sol"
+        assert main([str(tmp_path / "model.lp"), str(solution)]) == 0
+        header = dict(line[2:].split(" ", 1)
+                      for line in solution.read_text().splitlines()
+                      if line.startswith("#"))
+        assert header["status"] == "Optimal"
+        for key in ("objective", "dual_bound"):
+            value = float(header[key])
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0, header
 
 
 def milp_reference(text: str):

@@ -187,6 +187,17 @@ class TestBuildValidation:
         with pytest.raises(ModelError, match="row r references undeclared"):
             b.build()
 
+    def test_one_int_object_per_column(self):
+        # place() adds a base to an offset, a new int for every term above
+        # the interpreter's cached small ints; the model keeps one per column
+        b = ModelBuilder()
+        first = add_free(b, *(f"v{j}" for j in range(300)))
+        add_unit_rows(b, ["r0", "r1", "r2"], [2, 1, 2],
+                      list(place([299, 0, 299, 0, 299], [0], [first])))
+        model = b.build()
+        assert model.cols == [299, 0, 299, 0, 299]
+        assert model.cols[0] is model.cols[2] is model.cols[4]
+
     def test_bulk_lengths_must_cover_the_terms(self):
         b = self.builder()
         with pytest.raises(ModelError):
@@ -271,6 +282,24 @@ class TestRowChecks:
             with pytest.raises(ModelError) as refused:
                 columns_model(names, VarKind.CONTINUOUS, [0.0] * num_vars,
                               [1.0] * num_vars, rows, row_names)
+            assert str(refused.value) == expected
+
+    @given(row_runs())
+    @settings(max_examples=200, deadline=None)
+    def test_builder_passes_bad_columns_through_to_the_same_refusal(self, case):
+        num_vars, rows = case
+        names = [f"v{j}" for j in range(num_vars)]
+        row_names = [f"r{i}" for i in range(len(rows))]
+        b = ModelBuilder()
+        add_free(b, *names)
+        add_unit_rows(b, row_names, list(map(len, rows)),
+                      [j for terms in rows for j in terms])
+        expected = reference_refusal(names, row_names, rows)
+        if expected is None:
+            assert b.build().cols == [j for terms in rows for j in terms]
+        else:
+            with pytest.raises(ModelError) as refused:
+                b.build()
             assert str(refused.value) == expected
 
 
