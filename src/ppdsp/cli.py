@@ -21,7 +21,8 @@ import os
 import sys
 
 from . import harness, instgen
-from .core import DeliveryRoutingSolution, TruckPlan, validate_solution, xi
+from .core import (DeliveryRoutingSolution, StructuralError, TruckPlan,
+                   validate_solution, xi)
 from .instgen import ParseError
 from .mipir import ModelError, emit_lp
 
@@ -168,8 +169,11 @@ def cmd_solve(args) -> int:
 def cmd_validate(args) -> int:
     instance = _read_instance(args.instance)
     solution = solution_from_json(_read_text(args.solution))
-    report = validate_solution(solution, instance)
-    value = xi(solution, instance)
+    try:
+        report = validate_solution(solution, instance)
+        value = xi(solution, instance)
+    except StructuralError as exc:  # a truck, request or node id unknown
+        raise CliError(f"bad solution file: {exc}")
     print(f"xi={value:g}")
     if report.ok:
         print("valid")

@@ -99,10 +99,20 @@ class Instance:
     meta: InstanceMeta = field(default_factory=InstanceMeta)
 
     def __post_init__(self):
+        """Request and truck ids are 0..n-1 and 0..m-1 in order, endpoints
+        lie in the graph, and every cost matrix is |V|x|V|."""
         nv = self.graph.num_nodes
+        if [r.id for r in self.requests] != list(range(len(self.requests))):
+            raise StructuralError("request ids must be 0..n-1 in order")
+        if [t.id for t in self.trucks] != list(range(len(self.trucks))):
+            raise StructuralError("truck ids must be 0..m-1 in order")
         for r in self.requests:
             if not (0 < r.pickup < nv and 0 < r.dropoff < nv):
                 raise StructuralError(f"request {r.id}: endpoint outside graph")
+        for t in self.trucks:
+            if t.cost_matrix is not None and (len(t.cost_matrix) != nv or any(
+                    len(row) != nv for row in t.cost_matrix)):
+                raise StructuralError(f"truck {t.id}: cost matrix is not {nv}x{nv}")
 
     def arc_cost(self, truck: Truck, o: int, d: int) -> float:
         if truck.cost_matrix is not None:

@@ -338,7 +338,6 @@ def solve_lp(text: str, time_limit_s: float | None = None):
         cost[index[name]] += coef
     if any(map(isnan, cost)):
         raise LpParseError("NaN coefficient in the objective")
-    sign = -1.0 if sense == "max" else 1.0  # HiGHS minimizes
 
     lower = [0.0] * num
     upper = [inf] * num
@@ -360,16 +359,17 @@ def solve_lp(text: str, time_limit_s: float | None = None):
         options.time_limit = float(time_limit_s)
     solver.passOptions(options)
     # the binding takes every array of the LP as a list except col_cost_,
-    # which it converts through numpy. So HiGHS sizes the columns itself,
-    # takes the costs one column at a time, and the LP it holds then is
-    # completed and passed back whole
-    for _ in range(num):
-        solver.addVar(0.0, 0.0)
+    # which it converts through numpy. So the columns go in one at a time
+    # with their bounds, the costs likewise, and the LP that HiGHS then
+    # holds is completed and passed back whole
+    for lo, hi in zip(lower, upper):
+        solver.addVar(lo, hi)
     for j, coef in enumerate(cost):
         if coef:
-            solver.changeColCost(j, sign * coef)
+            solver.changeColCost(j, coef)
     lp = solver.getLp()
-    lp.col_lower_, lp.col_upper_ = lower, upper
+    if sense == "max":
+        lp.sense_ = highs.ObjSense.kMaximize
     lp.num_row_ = lp.a_matrix_.num_row_ = len(rows)
     lp.row_lower_, lp.row_upper_ = row_lower, row_upper
     lp.a_matrix_.format_ = highs.MatrixFormat.kRowwise
@@ -387,14 +387,15 @@ def solve_lp(text: str, time_limit_s: float | None = None):
     status = _STATUS_WORDS.get(solver.getModelStatus().name, _ERROR_WORDS)[incumbent]
     telemetry = {}
     if info.mip_node_count >= 0:
-        # + 0.0, here and at the return: a max negates HiGHS's 0.0 into -0.0
-        telemetry = {"gap": info.mip_gap,
-                     "dual_bound": sign * info.mip_dual_bound + 0.0,
+        # maximizing, HiGHS gives a NaN gap where there is no incumbent, and
+        # a zero dual bound as -0.0
+        telemetry = {"gap": info.mip_gap if incumbent else inf,
+                     "dual_bound": info.mip_dual_bound + 0.0,
                      "nodes": info.mip_node_count}
     if status not in ("Optimal", "Feasible"):
         return status, None, {}, telemetry
     values = dict(zip(names, solver.getSolution().col_value))
-    return status, sign * info.objective_function_value + 0.0, values, telemetry
+    return status, info.objective_function_value, values, telemetry
 
 
 def solve_lp_text(text: str, time_limit_s: float | None = None):

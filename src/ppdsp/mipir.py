@@ -19,8 +19,8 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, combinations, compress, cycle, groupby, repeat
-from operator import add, eq, gt, is_, ne, sub
+from itertools import accumulate, chain, compress, cycle, repeat
+from operator import add, gt, is_, ne, sub
 from typing import Iterable, Iterator, Sequence
 
 # inf, infinity and nan, in any case, would read back from LP text as numbers
@@ -59,32 +59,6 @@ def _check_names(names: list[str], what: str) -> None:
         raise ModelError(f"illegal {what} name {bad!r}")
 
 
-def _some_row_repeats_a_variable(cols: list[int], row_start: list[int],
-                                 lengths: list[int]) -> bool:
-    """Whether some row names a variable twice.
-
-    A run of rows of one width w <= 3 compares its term positions pairwise
-    across the whole run; every longer row is checked with a set.
-    """
-    wide_starts: list[int] = []
-    wide_ends: list[int] = []
-    row = 0
-    for width, run in groupby(lengths):
-        count = len(list(run))
-        if width > 3:
-            wide_starts.extend(row_start[row:row + count])
-            wide_ends.extend(row_start[row + 1:row + count + 1])
-        else:
-            block = cols[row_start[row]:row_start[row + count]]
-            if any(any(map(eq, block[a::width], block[b::width]))
-                   for a, b in combinations(range(width), 2)):
-                return True
-        row += count
-    return any(map(ne, map(len, map(set, map(cols.__getitem__,
-                                             map(slice, wide_starts, wide_ends)))),
-                   map(sub, wide_ends, wide_starts)))
-
-
 @dataclass(frozen=True)
 class MipModel:
     """A maximization model; variable and row order is the build order.
@@ -111,8 +85,9 @@ class MipModel:
 
     def __post_init__(self):
         """Whole-model checks: the columns agree in length, names are legal
-        and distinct, bounds hold, and every row has terms, each naming a
-        declared variable at most once."""
+        and distinct, bounds are numbers and hold, objective coefficients are
+        finite, and every row has terms, each naming a declared variable at
+        most once, with finite coefficients and rhs."""
         num_vars, num_rows = len(self.names), len(self.row_names)
         if not (len(self.kinds) == len(self.lowers) == len(self.uppers)
                 == len(self.objective) == num_vars):
@@ -126,6 +101,14 @@ class MipModel:
         _check_names(self.row_names, "row")
         if len(set(self.names)) != num_vars:
             raise ModelError("duplicate variable names")
+        if any(map(math.isnan, chain(self.lowers, self.uppers))):
+            j = next(j for j in range(num_vars)
+                     if math.isnan(self.lowers[j]) or math.isnan(self.uppers[j]))
+            raise ModelError(f"variable {self.names[j]}: bound is NaN")
+        if not all(map(math.isfinite, self.objective)):
+            j = next(j for j in range(num_vars) if not math.isfinite(self.objective[j]))
+            raise ModelError(f"variable {self.names[j]}: objective coefficient "
+                             f"{self.objective[j]!r} is not finite")
         binary = list(map(is_, self.kinds, repeat(VarKind.BINARY)))
         if (min(compress(self.lowers, binary), default=0) < 0
                 or max(compress(self.uppers, binary), default=1) > 1):
@@ -144,13 +127,18 @@ class MipModel:
             k = next(k for k, j in enumerate(self.cols) if not 0 <= j < num_vars)
             raise ModelError(f"row {self.row_names[bisect_right(starts, k) - 1]} "
                              f"references undeclared variable {self.cols[k]}")
-        if _some_row_repeats_a_variable(self.cols, self.row_start, lengths):
+        row_terms = map(self.cols.__getitem__, map(slice, starts, ends))
+        if any(map(ne, map(len, map(set, row_terms)), lengths)):
             for i, (s, e) in enumerate(zip(starts, ends)):
                 terms = self.cols[s:e]
                 j = next((j for k, j in enumerate(terms) if j in terms[:k]), None)
                 if j is not None:
                     raise ModelError(f"row {self.row_names[i]}: repeated "
                                      f"variable {self.names[j]}")
+        if not all(map(math.isfinite, chain(self.coefs, self.rhs))):
+            i = next(i for i, (s, e) in enumerate(zip(starts, ends))
+                     if not all(map(math.isfinite, self.coefs[s:e] + [self.rhs[i]])))
+            raise ModelError(f"row {self.row_names[i]}: coefficient or rhs is not finite")
 
 
 def place(offsets: Sequence[int], families: Sequence[int],

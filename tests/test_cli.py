@@ -1,8 +1,14 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import data_path
 from ppdsp import enc_location, instgen
@@ -290,9 +296,17 @@ class TestInputErrors:
          "$.requests[1]: 'pickup' must be an integer, not True"),
         (lambda doc: doc["trucks"][0].update(capacity="7"),
          "$.trucks[0]: 'capacity' must be an integer, not '7'"),
+        (lambda doc: doc["trucks"][0].update(costs=[[0.0, 1.0], [1.0, 0.0]]),
+         "$: truck 0: cost matrix is not 4x4"),
+        (lambda doc: doc["trucks"][1]["costs"][2].pop(),
+         "$: truck 1: cost matrix is not 4x4"),
+        (lambda doc: doc["trucks"][0].update(id=5), "$: truck ids must be 0..m-1 in order"),
+        (lambda doc: doc["requests"][0].update(id=7),
+         "$: request ids must be 0..n-1 in order"),
     ], ids=["x-text", "no-y", "k-text", "one-location", "location-not-an-object",
             "costs-text", "requests-a-number", "q-fraction", "pickup-bool",
-            "capacity-text"])
+            "capacity-text", "costs-2x2", "costs-short-row", "truck-id-5",
+            "request-id-7"])
     def test_malformed_instance(self, spoil, reason, golden_path, tmp_path, capsys):
         # validate, build and solve read the instance the same way
         with open(golden_path) as fh:
@@ -302,6 +316,18 @@ class TestInputErrors:
         path.write_text(json.dumps(doc))
         assert main(["oracle", "--instance", str(path)]) == 2
         one_reason_line(capsys, str(path), reason)
+
+    @pytest.mark.parametrize("plan, reason", [
+        ({"truck": 7, "delivery": [2], "route": [0, 2, 3, 0]}, "unknown truck id 7"),
+        ({"truck": 1, "delivery": [9], "route": [0, 2, 3, 0]}, "unknown request id 9"),
+        ({"truck": 1, "delivery": [2], "route": [0, 2, 99, 3, 0]}, "unknown node id 99"),
+    ], ids=["truck-7", "request-9", "node-99"])
+    def test_solution_names_an_unknown_id(self, plan, reason, golden_path, tmp_path,
+                                          capsys):
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps({"plans": [plan]}))
+        assert main(["validate", "--instance", golden_path, "--solution", str(sol)]) == 2
+        one_reason_line(capsys, f"bad solution file: {reason}")
 
     def test_missing_solution_file(self, golden_path, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
@@ -319,3 +345,75 @@ class TestInputErrors:
         csv_path.write_text("sample,k,n\nburma14,1,7\n")
         assert main(["report", "--csv", str(csv_path)]) == 2
         one_reason_line(capsys, "no column 'm'")
+
+
+def json_paths(node, prefix=()):
+    """The key path of every value inside a JSON document, depth first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+DELETE = "delete"
+# a string, null, a list, a float, -1 and a huge int, besides deleting the
+# key or the list entry (a costs row or entry among them)
+MUTATIONS = [DELETE, "x", None, [], [0], 0.5, -1, 10**30]
+
+with open(data_path("threereq.instance")) as fh:
+    INSTANCE_DOC = json.load(fh)
+SOLUTION_DOC = {"plans": [{"truck": 0, "delivery": [0, 1], "route": [0, 1, 2, 3, 0]},
+                          {"truck": 1, "delivery": [2], "route": [0, 2, 3, 0]}]}
+
+
+def mutated(doc, path, mutation):
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if mutation == DELETE:
+        del node[last]
+    else:
+        node[last] = mutation
+    return doc
+
+
+def run_in_process(*args) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(list(args))
+
+
+class TestMutatedInputs:
+    """One field of the golden instance or of a valid solution file, mutated:
+    validate and oracle exit 0, 2 or 3, never with a traceback."""
+
+    @given(st.sampled_from(list(json_paths(INSTANCE_DOC))), st.sampled_from(MUTATIONS))
+    @settings(max_examples=300, deadline=None)
+    def test_instance_mutation(self, path, mutation):
+        with tempfile.TemporaryDirectory() as tmp:
+            instance = os.path.join(tmp, "mutated.instance")
+            solution = os.path.join(tmp, "solution.json")
+            with open(instance, "w") as fh:
+                json.dump(mutated(INSTANCE_DOC, path, mutation), fh)
+            with open(solution, "w") as fh:
+                json.dump(SOLUTION_DOC, fh)
+            assert run_in_process("validate", "--instance", instance,
+                                  "--solution", solution) in (0, 2, 3)
+            assert run_in_process("oracle", "--instance", instance) in (0, 2, 3)
+
+    @given(st.sampled_from(list(json_paths(SOLUTION_DOC))), st.sampled_from(MUTATIONS))
+    @settings(max_examples=200, deadline=None)
+    def test_solution_mutation(self, path, mutation):
+        with tempfile.TemporaryDirectory() as tmp:
+            solution = os.path.join(tmp, "mutated.json")
+            with open(solution, "w") as fh:
+                json.dump(mutated(SOLUTION_DOC, path, mutation), fh)
+            assert run_in_process("validate", "--instance", data_path("threereq.instance"),
+                                  "--solution", solution) in (0, 2, 3)

@@ -375,8 +375,18 @@ class TestTelemetry:
         # the reader skips the header; the values still decode
         assert parse_solution(text, model)
 
+    @pytest.mark.parametrize("sense", ["Maximize", "Minimize"])
+    def test_no_incumbent_has_an_infinite_gap(self, tmp_path, sense):
+        (tmp_path / "model.lp").write_text(
+            f"{sense}\n obj: x\nSubject To\n c1: x >= 5\n c2: x <= 1\n"
+            "Generals\n x\nEnd\n")
+        solution = tmp_path / "solution.sol"
+        assert main([str(tmp_path / "model.lp"), str(solution)]) == 0
+        lines = solution.read_text().splitlines()
+        assert lines[0] == "# status Infeasible" and "# gap inf" in lines, lines
+
     def test_zero_optimum_of_a_maximization_is_written_as_positive_zero(self, tmp_path):
-        # HiGHS minimizes -obj, so a maximization's 0 comes back negated
+        # in maximize sense HiGHS gives the dual bound of a zero maximum as -0.0
         (tmp_path / "model.lp").write_text(
             "Maximize\n obj: - x\nSubject To\n c1: x <= 1\nBounds\n"
             " 0 <= x <= 1\nGenerals\n x\nEnd\n")

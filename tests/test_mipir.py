@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ppdsp
-from ppdsp.mipir import (POS_INF, MipModel, ModelBuilder, ModelError, Sense,
+from ppdsp.mipir import (NEG_INF, POS_INF, MipModel, ModelBuilder, ModelError, Sense,
                          SolutionParseError, VarKind, census, emit_lp,
                          objective_value, parse_solution, place)
 
@@ -165,11 +166,40 @@ class TestBuildValidation:
         with pytest.raises(ModelError, match="row r has no terms"):
             b.build()
 
+    @pytest.mark.parametrize("rhs, coef", [(POS_INF, 1.0), (math.nan, 1.0),
+                                           (1.0, NEG_INF), (1.0, math.nan)])
+    def test_non_finite_row_number(self, rhs, coef):
+        b = self.builder()
+        b.add_rows(["r0", "r1"], [Sense.LE] * 2, [1.0, rhs], [1, 2], [0, 0, 1],
+                   [1.0, 1.0, coef])
+        with pytest.raises(ModelError, match="row r1: coefficient or rhs is not finite"):
+            b.build()
+
+    @pytest.mark.parametrize("value", [math.nan, POS_INF, NEG_INF])
+    def test_non_finite_objective_coefficient(self, value):
+        b = self.builder()
+        b.add_variables(["z"], VarKind.CONTINUOUS, [0.0], [1.0], [value])
+        with pytest.raises(ModelError,
+                           match=f"variable z: objective coefficient {value!r} is not finite"):
+            b.build()
+
+    @pytest.mark.parametrize("lower, upper", [(math.nan, 1.0), (0.0, math.nan)])
+    def test_nan_bound(self, lower, upper):
+        b = self.builder()
+        b.add_variables(["z"], VarKind.CONTINUOUS, [lower], [upper], [0.0])
+        with pytest.raises(ModelError, match="variable z: bound is NaN"):
+            b.build()
+
+    def test_infinite_bounds_stay_legal(self):
+        b = self.builder()
+        add_free(b, "z")
+        b.add_variables(["f"], VarKind.CONTINUOUS, [NEG_INF], [POS_INF], [1.0])
+        assert "-inf <= f <= +inf" in emit_lp(b.build())
+
     @pytest.mark.parametrize("width", [2, 3, 4, 9])
     def test_repeat_found_in_a_run_of_bulk_rows(self, width):
-        # a run of rows of up to three terms is checked by comparing term
-        # positions across the whole run, a longer row by a set of its
-        # terms: the repeat in the last row of a run must be found either way
+        # every row is checked by a set of its terms, narrow or wide: the
+        # repeat in the last of many rows of one width must be found
         b = ModelBuilder()
         first = b.add_variables([f"v{j}" for j in range(width)], VarKind.CONTINUOUS,
                                 [0.0] * width, [1.0] * width, [0.0] * width)
