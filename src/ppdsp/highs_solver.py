@@ -361,9 +361,11 @@ def solve_lp(text: str, time_limit_s: float | None = None):
     # the binding takes every array of the LP as a list except col_cost_,
     # which it converts through numpy. So the columns go in one at a time
     # with their bounds, the costs likewise, and the LP that HiGHS then
-    # holds is completed and passed back whole
+    # holds is completed and passed back whole. A column HiGHS refuses (x =
+    # inf) is not added, and the later ones would shift: the model is an Error
     for lo, hi in zip(lower, upper):
-        solver.addVar(lo, hi)
+        if solver.addVar(lo, hi) == highs.HighsStatus.kError:
+            return "Error", None, {}, {}
     for j, coef in enumerate(cost):
         if coef:
             solver.changeColCost(j, coef)
@@ -388,14 +390,14 @@ def solve_lp(text: str, time_limit_s: float | None = None):
     telemetry = {}
     if info.mip_node_count >= 0:
         # maximizing, HiGHS gives a NaN gap where there is no incumbent, and
-        # a zero dual bound as -0.0
+        # a zero dual bound as -0.0; + 0.0 here and at the return makes it 0.0
         telemetry = {"gap": info.mip_gap if incumbent else inf,
                      "dual_bound": info.mip_dual_bound + 0.0,
                      "nodes": info.mip_node_count}
     if status not in ("Optimal", "Feasible"):
         return status, None, {}, telemetry
     values = dict(zip(names, solver.getSolution().col_value))
-    return status, info.objective_function_value, values, telemetry
+    return status, info.objective_function_value + 0.0, values, telemetry
 
 
 def solve_lp_text(text: str, time_limit_s: float | None = None):

@@ -4,11 +4,8 @@ import io
 import json
 import os
 import sys
-import tempfile
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import data_path
 from ppdsp import enc_location, instgen
@@ -390,30 +387,29 @@ def run_in_process(*args) -> int:
         return main(list(args))
 
 
+def mutation_cases(doc):
+    """Every (path, mutation) pair of doc, with a readable test id."""
+    return [pytest.param(path, mutation,
+                         id="/".join(map(str, path)) + "=" + repr(mutation))
+            for path in json_paths(doc) for mutation in MUTATIONS]
+
+
 class TestMutatedInputs:
-    """One field of the golden instance or of a valid solution file, mutated:
-    validate and oracle exit 0, 2 or 3, never with a traceback."""
+    """Each field of the golden instance or of a valid solution file, mutated
+    each way: validate and oracle exit 0, 2 or 3, never with a traceback."""
 
-    @given(st.sampled_from(list(json_paths(INSTANCE_DOC))), st.sampled_from(MUTATIONS))
-    @settings(max_examples=300, deadline=None)
-    def test_instance_mutation(self, path, mutation):
-        with tempfile.TemporaryDirectory() as tmp:
-            instance = os.path.join(tmp, "mutated.instance")
-            solution = os.path.join(tmp, "solution.json")
-            with open(instance, "w") as fh:
-                json.dump(mutated(INSTANCE_DOC, path, mutation), fh)
-            with open(solution, "w") as fh:
-                json.dump(SOLUTION_DOC, fh)
-            assert run_in_process("validate", "--instance", instance,
-                                  "--solution", solution) in (0, 2, 3)
-            assert run_in_process("oracle", "--instance", instance) in (0, 2, 3)
+    @pytest.mark.parametrize("path, mutation", mutation_cases(INSTANCE_DOC))
+    def test_instance_mutation(self, tmp_path, path, mutation):
+        instance, solution = tmp_path / "mutated.instance", tmp_path / "solution.json"
+        instance.write_text(json.dumps(mutated(INSTANCE_DOC, path, mutation)))
+        solution.write_text(json.dumps(SOLUTION_DOC))
+        assert run_in_process("validate", "--instance", str(instance),
+                              "--solution", str(solution)) in (0, 2, 3)
+        assert run_in_process("oracle", "--instance", str(instance)) in (0, 2, 3)
 
-    @given(st.sampled_from(list(json_paths(SOLUTION_DOC))), st.sampled_from(MUTATIONS))
-    @settings(max_examples=200, deadline=None)
-    def test_solution_mutation(self, path, mutation):
-        with tempfile.TemporaryDirectory() as tmp:
-            solution = os.path.join(tmp, "mutated.json")
-            with open(solution, "w") as fh:
-                json.dump(mutated(SOLUTION_DOC, path, mutation), fh)
-            assert run_in_process("validate", "--instance", data_path("threereq.instance"),
-                                  "--solution", solution) in (0, 2, 3)
+    @pytest.mark.parametrize("path, mutation", mutation_cases(SOLUTION_DOC))
+    def test_solution_mutation(self, tmp_path, path, mutation):
+        solution = tmp_path / "mutated.json"
+        solution.write_text(json.dumps(mutated(SOLUTION_DOC, path, mutation)))
+        assert run_in_process("validate", "--instance", data_path("threereq.instance"),
+                              "--solution", str(solution)) in (0, 2, 3)

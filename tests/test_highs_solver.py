@@ -334,12 +334,18 @@ class TestStatusWords:
         ("Maximize\n obj: x\nSubject To\n c1: x >= 3\nEnd\n", None, "Error"),
         # a model HiGHS refuses to load (kModelError) is not an infeasible one
         ("Maximize\n obj: x\nSubject To\n c1: inf x <= 3\nEnd\n", None, "Error"),
+        # a column bound HiGHS refuses, on a column that is not the last
+        ("Maximize\n obj: x + 2 z\nSubject To\n c1: x <= 1\nBounds\n x = inf\n"
+         " 0 <= z <= 5\nEnd\n", None, "Error"),
+        ("Maximize\n obj: x + 2 z\nSubject To\n c1: x <= 1\nBounds\n"
+         " 1e30 <= x <= 1e30\n 0 <= z <= 5\nEnd\n", None, "Error"),
         # stopped before any incumbent: x = y = 0 breaks c1
         ("Maximize\n obj: x + y\nSubject To\n c1: x + y >= 1\n c2: x - y <= 0\n"
          "Binaries\n x y\nEnd\n", 1e-9, "TimeLimit"),
         ("Minimize\n obj: x + 2 y\nSubject To\n c1: x + y >= 1.5\nGenerals\n x\n"
          "End\n", None, "Optimal"),
-    ], ids=["infeasible", "unbounded", "model-error", "no-incumbent", "optimal"])
+    ], ids=["infeasible", "unbounded", "model-error", "fixed-at-inf",
+            "fixed-at-1e30", "no-incumbent", "optimal"])
     def test_table(self, lp, limit, status):
         got_status, objective, values = solve_lp_text(lp, limit)
         assert got_status == status
@@ -385,20 +391,30 @@ class TestTelemetry:
         lines = solution.read_text().splitlines()
         assert lines[0] == "# status Infeasible" and "# gap inf" in lines, lines
 
-    def test_zero_optimum_of_a_maximization_is_written_as_positive_zero(self, tmp_path):
-        # in maximize sense HiGHS gives the dual bound of a zero maximum as -0.0
+    @staticmethod
+    def zero_maximum_header(tmp_path, generals):
         (tmp_path / "model.lp").write_text(
             "Maximize\n obj: - x\nSubject To\n c1: x <= 1\nBounds\n"
-            " 0 <= x <= 1\nGenerals\n x\nEnd\n")
+            f" 0 <= x <= 1\n{generals}End\n")
         solution = tmp_path / "solution.sol"
         assert main([str(tmp_path / "model.lp"), str(solution)]) == 0
-        header = dict(line[2:].split(" ", 1)
-                      for line in solution.read_text().splitlines()
-                      if line.startswith("#"))
+        return dict(line[2:].split(" ", 1)
+                    for line in solution.read_text().splitlines()
+                    if line.startswith("#"))
+
+    def test_zero_optimum_of_a_maximization_is_written_as_positive_zero(self, tmp_path):
+        # in maximize sense HiGHS gives the dual bound of a zero maximum as -0.0
+        header = self.zero_maximum_header(tmp_path, "Generals\n x\n")
         assert header["status"] == "Optimal"
         for key in ("objective", "dual_bound"):
             value = float(header[key])
             assert value == 0.0 and math.copysign(1.0, value) == 1.0, header
+
+    def test_zero_optimum_of_a_continuous_maximization_is_positive_zero(self, tmp_path):
+        header = self.zero_maximum_header(tmp_path, "")
+        assert header["status"] == "Optimal" and "dual_bound" not in header
+        value = float(header["objective"])
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0, header
 
 
 def milp_reference(text: str):
