@@ -23,7 +23,7 @@ import sys
 from . import harness, instgen
 from .core import (DeliveryRoutingSolution, StructuralError, TruckPlan,
                    validate_solution, xi)
-from .instgen import ParseError
+from .instgen import ParseError, json_int
 from .mipir import ModelError, emit_lp
 
 log = logging.getLogger("ppdsp")
@@ -104,9 +104,10 @@ def solution_to_json(solution: DeliveryRoutingSolution) -> str:
 def solution_from_json(text: str) -> DeliveryRoutingSolution:
     try:
         doc = json.loads(text)
-        plans = tuple(TruckPlan(truck_id=int(p["truck"]),
-                                delivery=frozenset(int(r) for r in p["delivery"]),
-                                route=tuple(int(v) for v in p["route"]))
+        plans = tuple(TruckPlan(truck_id=json_int(p["truck"], "truck"),
+                                delivery=frozenset(json_int(r, "delivery")
+                                                   for r in p["delivery"]),
+                                route=tuple(json_int(v, "route") for v in p["route"]))
                       for p in doc["plans"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad solution file: {exc}")

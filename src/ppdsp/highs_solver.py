@@ -162,20 +162,23 @@ def parse_lp(text: str):
     names) where rows are (name, terms, sense, rhs). Every occurrence of a
     variable name, a comparator or a number is one shared object, and so is
     every unit term (name, 1.0) or (name, -1.0) of one name and sign, and
-    every coefficient read as '- <number>' of one number token."""
+    every coefficient read as '- <number>' of one number token.
+
+    The parse lets go of the objective's lines once its terms are built, and
+    of each constraint line, in file order, once its row is built, so the
+    lines and the rows made from them are not all held at once. A file with
+    several faults still reports the first one in file order."""
     sections = _split_sections(text)
     if "maximize" in sections:
         sense = "max"
-        objective_lines = sections["maximize"]
+        objective_lines = sections.pop("maximize")
     elif "minimize" in sections:
         sense = "min"
-        objective_lines = sections["minimize"]
+        objective_lines = sections.pop("minimize")
     else:
         raise LpParseError("no objective section")
-    obj_tokens: list[str] = []
-    for line in objective_lines:
-        _, _, rest = line.partition(":")
-        obj_tokens.extend((rest if rest or ":" in line else line).split())
+    obj_tokens = [tok for line in objective_lines
+                  for tok in (line.partition(":")[2] if ":" in line else line).split()]
     # the sections after the rows, which may hold any token, add to `names`
     # only once every expression is read
     shared = _Shared()
@@ -186,8 +189,13 @@ def parse_lp(text: str):
     gc.disable()
     try:
         objective = _parse_terms(obj_tokens, shared)
+        del obj_tokens, objective_lines
+        # each row line goes, in file order, once its row is built
+        lines = sections.pop("subject to", [])
+        lines.reverse()
         rows = []
-        for line in sections.get("subject to", []):
+        while lines:
+            line = lines.pop()
             name, colon, rest = line.partition(":")
             if not colon:
                 raise LpParseError(f"constraint without name: {line.strip()!r}")
@@ -301,8 +309,14 @@ def solve_lp(text: str, time_limit_s: float | None = None):
 
     A NaN coefficient, rhs or bound is refused with an LpParseError. A
     time limit of None or inf means no limit.
+
+    The text is dropped once parsed, and the Python copy of the model (the
+    parse, its arrays and the HighsLp) once HiGHS holds its own, before
+    HiGHS runs: only the column names are kept. A caller that passes the
+    only reference to the text gets its memory back during the solve.
     """
     sense, objective, rows, bounds, integers, binaries = parse_lp(text)
+    del text
     # columns in order of first appearance: the objective, the rows, then
     # the Bounds, Generals and Binaries sections
     index = _Columns()
@@ -381,8 +395,12 @@ def solve_lp(text: str, time_limit_s: float | None = None):
         for name in chain(integers, binaries):
             integrality[index[name]] = highs.HighsVarType.kInteger
         lp.integrality_ = integrality
+        del integrality
     if solver.passModel(lp) == highs.HighsStatus.kError:  # as kModelError
         return "Error", None, {}, {}
+    # HiGHS holds its own copy of the model now; only the names are needed
+    del objective, rows, bounds, integers, binaries, binary, index, lp
+    del start, cols, coefs, row_lower, row_upper, cost, lower, upper
     solver.run()
     info = solver.getInfo()
     incumbent = info.primal_solution_status == highs.kSolutionStatusFeasible
@@ -423,8 +441,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         with open(model_path) as fh:
-            text = fh.read()
-        status, objective, values, telemetry = solve_lp(text, time_limit)
+            # solve_lp holds the only reference to the text, and drops it
+            status, objective, values, telemetry = solve_lp(fh.read(), time_limit)
         with open(solution_path, "w") as fh:
             fh.write(f"# status {status}\n")
             if objective is not None:

@@ -356,13 +356,21 @@ def _truck_doc(t: Truck) -> dict:
     return doc
 
 
-def _integer(doc: dict, key: str) -> int:
-    """doc[key], refused unless it is a JSON integer: a number with a
-    fraction, a bool or a string is not one."""
-    value = doc[key]
+def json_int(value, key: str) -> int:
+    """value, read from a JSON document's `key`, refused unless it is a JSON
+    integer: a number with a fraction, a bool or a string is not one."""
     if type(value) is not int:  # a bool is an int too
         raise ValueError(f"{key!r} must be an integer, not {value!r}")
     return value
+
+
+def json_number(value, key: str) -> float:
+    """value, read from a JSON document's `key`, as a float, refused unless
+    it is a finite JSON integer or float: Infinity, NaN, a bool or a string
+    is not one."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{key!r} must be a finite number, not {value!r}")
+    return float(value)
 
 
 def parse_instance(text: str) -> Instance:
@@ -373,33 +381,39 @@ def parse_instance(text: str) -> Instance:
         doc = json.loads(text)
         meta_doc = doc["meta"]
         path = "$.meta"
-        meta = InstanceMeta(sample=meta_doc["sample"], k=float(meta_doc["k"]),
-                            m=_integer(meta_doc, "m"), n=_integer(meta_doc, "n"),
-                            seed=_integer(meta_doc, "seed"))
+        meta = InstanceMeta(sample=meta_doc["sample"],
+                            k=json_number(meta_doc["k"], "k"),
+                            m=json_int(meta_doc["m"], "m"),
+                            n=json_int(meta_doc["n"], "n"),
+                            seed=json_int(meta_doc["seed"], "seed"))
         path = "$"
         coords = []
         for i, loc in enumerate(doc["locations"]):
             path = f"$.locations[{i}]"
-            if _integer(loc, "id") != i:
+            if json_int(loc["id"], "id") != i:
                 raise ValueError("ids must be 0..|V|-1 in order")
-            coords.append((float(loc["x"]), float(loc["y"])))
+            coords.append((json_number(loc["x"], "x"), json_number(loc["y"], "y")))
         path = "$.locations"
         graph = LocationGraph(coords=tuple(coords))
         path = "$"
         requests = []
         for i, rd in enumerate(doc["requests"]):
             path = f"$.requests[{i}]"
-            requests.append(Request(id=_integer(rd, "id"), w=float(rd["w"]),
-                                    q=_integer(rd, "q"), pickup=_integer(rd, "pickup"),
-                                    dropoff=_integer(rd, "dropoff")))
+            requests.append(Request(id=json_int(rd["id"], "id"),
+                                    w=json_number(rd["w"], "w"),
+                                    q=json_int(rd["q"], "q"),
+                                    pickup=json_int(rd["pickup"], "pickup"),
+                                    dropoff=json_int(rd["dropoff"], "dropoff")))
         path = "$"
         trucks = []
         for i, td in enumerate(doc["trucks"]):
             path = f"$.trucks[{i}]"
-            matrix = (tuple(tuple(float(c) for c in row) for row in td["costs"])
-                      if "costs" in td else None)
-            trucks.append(Truck(id=_integer(td, "id"), capacity=_integer(td, "capacity"),
-                                cost_coefficient=float(td["coefficient"]),
+            matrix = (tuple(tuple(json_number(c, "costs") for c in row)
+                            for row in td["costs"]) if "costs" in td else None)
+            trucks.append(Truck(id=json_int(td["id"], "id"),
+                                capacity=json_int(td["capacity"], "capacity"),
+                                cost_coefficient=json_number(td["coefficient"],
+                                                             "coefficient"),
                                 cost_matrix=matrix))
         path = "$"
         return Instance(graph=graph, requests=tuple(requests),

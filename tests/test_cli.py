@@ -278,14 +278,15 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("spoil, reason", [
         (lambda doc: doc["locations"][1].update(x="abc"),
-         "$.locations[1]: could not convert string to float: 'abc'"),
+         "$.locations[1]: 'x' must be a finite number, not 'abc'"),
         (lambda doc: doc["locations"][1].pop("y"), "$.locations[1]: missing field 'y'"),
-        (lambda doc: doc["meta"].update(k="abc"), "$.meta: could not convert"),
+        (lambda doc: doc["meta"].update(k="abc"),
+         "$.meta: 'k' must be a finite number, not 'abc'"),
         (lambda doc: doc.update(locations=doc["locations"][:1]),
          "$.locations: graph needs a depot"),
         (lambda doc: doc["locations"].__setitem__(1, 5), "$.locations[1]: 'int'"),
         (lambda doc: doc["trucks"][1]["costs"][2].__setitem__(0, "abc"),
-         "$.trucks[1]: could not convert string to float: 'abc'"),
+         "$.trucks[1]: 'costs' must be a finite number, not 'abc'"),
         (lambda doc: doc.update(requests=3), "$: 'int' object is not iterable"),
         (lambda doc: doc["requests"][0].update(q=4.9),
          "$.requests[0]: 'q' must be an integer, not 4.9"),
@@ -314,11 +315,60 @@ class TestInputErrors:
         assert main(["oracle", "--instance", str(path)]) == 2
         one_reason_line(capsys, str(path), reason)
 
+    @pytest.mark.parametrize("spoil, reason", [
+        (lambda doc: doc["requests"][0].update(w=float("inf")),
+         "$.requests[0]: 'w' must be a finite number, not inf"),
+        (lambda doc: doc["locations"][2].update(x=float("-inf")),
+         "$.locations[2]: 'x' must be a finite number, not -inf"),
+        (lambda doc: doc["trucks"][0]["costs"][1].__setitem__(2, float("nan")),
+         "$.trucks[0]: 'costs' must be a finite number, not nan"),
+        (lambda doc: doc["trucks"][1].update(coefficient=True),
+         "$.trucks[1]: 'coefficient' must be a finite number, not True"),
+        (lambda doc: doc["meta"].update(k="3"),
+         "$.meta: 'k' must be a finite number, not '3'"),
+    ], ids=["w-Infinity", "x-minus-Infinity", "costs-NaN", "coefficient-true",
+            "k-numeric-text"])
+    @pytest.mark.parametrize("command", ["build", "validate", "oracle"])
+    def test_instance_number_not_finite(self, spoil, reason, command, golden_path,
+                                        tmp_path, capsys):
+        # json.dumps writes inf and nan as JSON's Infinity and NaN
+        with open(golden_path) as fh:
+            doc = json.load(fh)
+        spoil(doc)
+        path = tmp_path / "spoiled.instance"
+        path.write_text(json.dumps(doc))
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps(SOLUTION_DOC))
+        args = {"build": ["--formulation", "loc", "--lp", str(tmp_path / "m.lp")],
+                "validate": ["--solution", str(sol)], "oracle": []}[command]
+        assert main([command, "--instance", str(path), *args]) == 2
+        one_reason_line(capsys, str(path), reason)
+
     @pytest.mark.parametrize("plan, reason", [
         ({"truck": 7, "delivery": [2], "route": [0, 2, 3, 0]}, "unknown truck id 7"),
         ({"truck": 1, "delivery": [9], "route": [0, 2, 3, 0]}, "unknown request id 9"),
         ({"truck": 1, "delivery": [2], "route": [0, 2, 99, 3, 0]}, "unknown node id 99"),
-    ], ids=["truck-7", "request-9", "node-99"])
+        ({"truck": 0.9, "delivery": [2], "route": [0, 2, 3, 0]},
+         "'truck' must be an integer, not 0.9"),
+        ({"truck": True, "delivery": [2], "route": [0, 2, 3, 0]},
+         "'truck' must be an integer, not True"),
+        ({"truck": "1", "delivery": [2], "route": [0, 2, 3, 0]},
+         "'truck' must be an integer, not '1'"),
+        ({"truck": 1, "delivery": [2.0], "route": [0, 2, 3, 0]},
+         "'delivery' must be an integer, not 2.0"),
+        ({"truck": 1, "delivery": [True], "route": [0, 2, 3, 0]},
+         "'delivery' must be an integer, not True"),
+        ({"truck": 1, "delivery": ["2"], "route": [0, 2, 3, 0]},
+         "'delivery' must be an integer, not '2'"),
+        ({"truck": 1, "delivery": [2], "route": [0, 2.5, 3, 0]},
+         "'route' must be an integer, not 2.5"),
+        ({"truck": 1, "delivery": [2], "route": [0, 2, False, 0]},
+         "'route' must be an integer, not False"),
+        ({"truck": 1, "delivery": [2], "route": [0, "2", 3, 0]},
+         "'route' must be an integer, not '2'"),
+    ], ids=["truck-7", "request-9", "node-99", "truck-float", "truck-bool",
+            "truck-text", "delivery-float", "delivery-bool", "delivery-text",
+            "route-float", "route-bool", "route-text"])
     def test_solution_names_an_unknown_id(self, plan, reason, golden_path, tmp_path,
                                           capsys):
         sol = tmp_path / "sol.json"
@@ -358,9 +408,9 @@ def json_paths(node, prefix=()):
 
 
 DELETE = "delete"
-# a string, null, a list, a float, -1 and a huge int, besides deleting the
-# key or the list entry (a costs row or entry among them)
-MUTATIONS = [DELETE, "x", None, [], [0], 0.5, -1, 10**30]
+# a string, null, a list, a float, -1, a huge int, Infinity and NaN, besides
+# deleting the key or the list entry (a costs row or entry among them)
+MUTATIONS = [DELETE, "x", None, [], [0], 0.5, -1, 10**30, float("inf"), float("nan")]
 
 with open(data_path("threereq.instance")) as fh:
     INSTANCE_DOC = json.load(fh)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from conftest import small_random_instance
 from ppdsp.enc_location import encode_location
 from ppdsp.enc_request import encode_request
 from ppdsp.highs_solver import LpParseError, main, parse_lp, solve_lp_text
+from ppdsp.instgen import generate_family
 from ppdsp.mipir import ModelBuilder, Sense, VarKind, emit_lp, parse_solution
 from test_mipir import tiny_model
 
@@ -244,6 +246,43 @@ class TestCollector:
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+
+class TestFirstFault:
+    """A file with two faults reports the first one in file order."""
+
+    def test_bad_row_before_bad_bound_reports_the_row(self):
+        with pytest.raises(LpParseError) as info:
+            parse_lp("Maximize\n obj: x\nSubject To\n c1: x <= 1\n c2: x + y <=\n"
+                     "Bounds\n 0 <= x <= abc\nEnd\n")
+        assert "c2: x + y <=" in str(info.value)
+        assert "abc" not in str(info.value)
+
+    def test_two_bad_rows_report_the_first(self):
+        with pytest.raises(LpParseError) as info:
+            parse_lp("Maximize\n obj: x\nSubject To\n c1: x <= 1\n c2: x <= abc\n"
+                     " c3: x + y <= 3 z\nEnd\n")
+        assert "c2: x <= abc" in str(info.value)
+        assert "c3" not in str(info.value)
+
+
+class TestMemory:
+    """parse_lp lets go of each line once it is read, so what it holds
+    beyond its result stays near one copy of the LP text."""
+
+    @pytest.mark.parametrize("k, formulation", [(1, "location"), (3, "request")])
+    def test_transient_peak_under_one_and_a_half_texts(self, burma14, k, formulation):
+        instance = generate_family(burma14, [k], 2, 0)[k]
+        encode = encode_location if formulation == "location" else encode_request
+        text = emit_lp(encode(instance).model)
+        tracemalloc.start()
+        try:
+            parsed = parse_lp(text)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert parsed[2]
+        assert peak - retained <= 1.5 * len(text)
 
 
 class TestMain:
