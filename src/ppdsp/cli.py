@@ -211,7 +211,7 @@ def cmd_bench(args) -> int:
     adapter = _adapter_from(args.solver)
     try:
         records = harness.bench(samples, k_list, m_list, formulations, adapter,
-                                args.time_limit, args.seed, workers=args.workers)
+                                args.time_limit, args.seed)
     except ModelError:
         raise  # an encoder fault, not bad input
     except harness.CensusMismatch as exc:
@@ -290,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", help="command template or 'none' for encode-only")
     p.add_argument("--time-limit", type=_time_limit, default=600.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--csv")
     p.set_defaults(func=cmd_bench)
 

@@ -16,7 +16,6 @@ import subprocess
 import tempfile
 import time
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -290,10 +289,15 @@ _STATUS_NAMES = {"optimal": "Optimal", "feasible": "Feasible",
 
 
 def _scan_status(text: str) -> Optional[str]:
-    for line in text.splitlines():
-        if line.startswith("# status"):
-            token = line.split()[-1].strip()
-            return _STATUS_NAMES.get(token.lower(), token)
+    """The word on the first line whose first two tokens are '#' and 'status';
+    raises SolverProcessError if that line does not hold exactly one word."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if tokens[:2] == ["#", "status"]:
+            if len(tokens) != 3:
+                raise SolverProcessError(
+                    f"line {lineno}: malformed status line {line.strip()!r}")
+            return _STATUS_NAMES.get(tokens[2].lower(), tokens[2])
     return None
 
 
@@ -321,7 +325,8 @@ def run_adapter(adapter: SolverAdapter, lp_text: str, time_limit_s: float
     imports what the caller's PYTHONPATH names (see _solver_environment).
 
     Returns (solution text, declared status or None). Raises
-    SolverProcessError on a non-zero exit, no solution file or a timeout.
+    SolverProcessError on a non-zero exit, no solution file, a timeout or a
+    malformed status line.
     """
     with tempfile.TemporaryDirectory(dir=adapter.workdir) as tmp:
         model_path = os.path.join(tmp, "model.lp")
@@ -472,8 +477,8 @@ def _solve_encoding(form: Formulation, encoding, adapter: SolverAdapter,
                                             time_limit_s)
         if status is None:
             # values without a declared status are a solution, not a proof of optimality
-            if not any(line.strip() and not line.startswith("#")
-                       for line in solution_text.splitlines()):
+            if all(line.strip()[:1] in ("", "#")
+                   for line in solution_text.splitlines()):
                 raise SolverProcessError("solver wrote neither a status nor values")
             status = "Feasible"
         if status not in _STATUS_NAMES.values():
@@ -520,10 +525,10 @@ def _bench_cell(instance: Instance, form: Formulation,
 
 def bench(samples: list[TsplibSample], k_list: list[float], m_list: list[int],
           formulations: list[str], adapter: Optional[SolverAdapter],
-          time_limit_s: float, seed: int, workers: int = 1
-          ) -> list[BenchRecord]:
-    """One record per (sample, k, m, formulation) cell; failures are recorded
-    per cell and the run continues."""
+          time_limit_s: float, seed: int) -> list[BenchRecord]:
+    """One record per (sample, m, k, formulation) cell, in that order. Every
+    family is drawn first; then the cells run one at a time, so a time limit
+    means the same in each. A failed cell is recorded and the run goes on."""
     forms = [formulation(name) for name in formulations]
     cells: list[tuple[Instance, Formulation]] = []
     for sample in samples:
@@ -532,13 +537,7 @@ def bench(samples: list[TsplibSample], k_list: list[float], m_list: list[int],
             for k in sorted(k_list):
                 for form in forms:
                     cells.append((family[k], form))
-    if adapter is None or workers <= 1:
-        return [_bench_cell(inst, form, adapter, time_limit_s)
-                for inst, form in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_bench_cell, inst, form, adapter, time_limit_s)
-                   for inst, form in cells]
-        return [f.result() for f in futures]
+    return [_bench_cell(inst, form, adapter, time_limit_s) for inst, form in cells]
 
 
 def records_to_csv(records: list[BenchRecord]) -> str:

@@ -1,11 +1,15 @@
+import dataclasses
+import functools
 import math
 
 import pytest
 
+from conftest import small_random_instance
 from ppdsp.core import (DeliveryRoutingSolution, Instance, LocationGraph,
                         Request, StructuralError, Truck, TruckPlan,
                         ViolationKind, load_profile, validate_route,
                         validate_solution, xi)
+from ppdsp.harness import oracle
 
 
 def plan(truck_id, delivery, route):
@@ -163,3 +167,68 @@ def test_xi_is_finite_float(golden_instance):
     solution = DeliveryRoutingSolution(plans=(plan(1, {2}, (0, 2, 3, 0)),))
     value = xi(solution, golden_instance)
     assert isinstance(value, float) and math.isfinite(value)
+
+
+# criterion 4's oracle-sized instances
+CRITERION_4_SEEDS = range(20)
+
+
+@functools.cache
+def netted_optimum(seed):
+    """(instance, value, plan) of the netted-rule oracle on the instance of
+    `seed`: the exact optimum of the location-based MIP."""
+    instance = small_random_instance(seed)
+    return (instance, *oracle(instance, "location", capacity_rule="netted"))
+
+
+def with_route(plans, i, route):
+    return plans[:i] + (dataclasses.replace(plans[i], route=route),) + plans[i + 1:]
+
+
+# one edit to the plan of truck `i`, which serves `request`, and the kind of
+# violation it must cause: (kind, edit(plans, i, request) -> plans)
+PLAN_EDITS = {
+    "swap its pickup and dropoff stops": (
+        ViolationKind.PRECEDENCE_VIOLATED,
+        lambda plans, i, request: with_route(plans, i, tuple(
+            request.dropoff if v == request.pickup
+            else request.pickup if v == request.dropoff else v
+            for v in plans[i].route))),
+    "drop its pickup stop": (
+        ViolationKind.MISSING_NODE,
+        lambda plans, i, request: with_route(
+            plans, i, tuple(v for v in plans[i].route if v != request.pickup))),
+    "repeat an interior stop": (
+        ViolationKind.REPEATED_NODE,
+        lambda plans, i, request: with_route(
+            plans, i, plans[i].route[:2] + plans[i].route[1:])),
+    "drop the closing depot": (
+        ViolationKind.NOT_CYCLE,
+        lambda plans, i, request: with_route(plans, i, plans[i].route[:-1])),
+    "give it to a second truck too": (
+        ViolationKind.DUPLICATE_ASSIGNMENT,
+        lambda plans, i, request: tuple(
+            dataclasses.replace(p, delivery=p.delivery | {request.id})
+            if j == (i + 1) % len(plans) else p for j, p in enumerate(plans))),
+}
+
+
+class TestOracleProperties:
+    @pytest.mark.parametrize("seed", CRITERION_4_SEEDS)
+    def test_netted_optimum_is_valid_and_scores_its_value(self, seed):
+        instance, value, solution = netted_optimum(seed)
+        assert validate_solution(solution, instance).ok
+        assert xi(solution, instance) == pytest.approx(value, abs=1e-9)
+
+    @pytest.mark.parametrize("kind, edit", PLAN_EDITS.values(), ids=PLAN_EDITS)
+    def test_single_edit_gives_its_violation(self, kind, edit):
+        edited = 0
+        for seed in CRITERION_4_SEEDS:
+            instance, _, solution = netted_optimum(seed)
+            for i, served in enumerate(solution.plans):
+                for rid in sorted(served.delivery):
+                    plans = edit(solution.plans, i, instance.requests[rid])
+                    report = validate_solution(DeliveryRoutingSolution(plans), instance)
+                    assert kind in report.kinds(), (seed, i, rid, report)
+                    edited += 1
+        assert edited >= 20  # most of the 20 optima serve a request

@@ -204,6 +204,18 @@ FAILURE_MODES = {
     "validation failure": ("# status Optimal\n",
                            ("validate_solution", made_up_violation), "Error",
                            "claimed-feasible solution fails validation", 3),
+    # a header is a line whose stripped text starts with '#'; the status line
+    # is the first header whose first two tokens are '#' and 'status'
+    "status_code header first": ("# status_code 0\n# status Optimal\ny_t1_r2 1\n"
+                                 "x_t1_o0_d2 1\nx_t1_o2_d3 1\nx_t1_o3_d0 1\n", None,
+                                 "Optimal", "", 0),
+    "indented status": ("  # status Infeasible\n", None, "Infeasible", "", 0),
+    "indented header alone": ("  # note\n", None, "Error",
+                              "solver wrote neither a status nor values", 4),
+    "bare status": ("# status\n", None, "Error",
+                    "line 1: malformed status line '# status'", 4),
+    "two status words": ("# gap 0\n  # status Optimal now\n", None, "Error",
+                         "line 2: malformed status line '# status Optimal now'", 4),
 }
 
 
@@ -428,15 +440,6 @@ class TestBench:
         text = records_to_csv(records)
         assert ",Optimal,0.000000," in text
         assert records_to_csv(records_from_csv(text)) == text
-
-    def test_workers_give_the_serial_records(self, burma14, tmp_path):
-        adapter = stub_adapter(tmp_path, "# status Optimal\n# objective 0.0\n")
-        runs = [bench([burma14], [1, 1.5], [2], ["location", "request"], adapter,
-                      10, seed=0, workers=workers) for workers in (1, 2)]
-        serial, pooled = ([dataclasses.replace(r, wall_time_s=None) for r in run]
-                          for run in runs)
-        assert len(serial) == 4
-        assert pooled == serial
 
 
 class TestFormulation:

@@ -390,16 +390,29 @@ class TestEvaluation:
         assert objective_value(tiny_model(), {"x1": 1.0, "x2": 1.0}) == 0.5
 
 
+def modules_loaded_by(statement: str, modules: list[str]) -> list[str]:
+    """The names among `modules` that a fresh interpreter holds in
+    sys.modules after running `statement`."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ppdsp.__file__)))
+    report = f"import sys; print(*(m for m in {modules!r} if m in sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{statement}; {report}"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 def test_import_loads_no_numpy():
     # numpy costs about 0.1 s to import and 11 MB of resident memory; no
     # part of the package loads it (the solver reaches HiGHS through scipy's
     # binding alone). The star import loads every submodule that the
     # package's names come from.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ppdsp.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "from ppdsp import *; import sys; print('numpy' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-        timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert modules_loaded_by("from ppdsp import *", ["numpy"]) == []
+
+
+def test_harness_import_loads_no_thread_pool_or_logging():
+    # `bench` runs its cells one at a time and only the CLI logs, so a
+    # process that imports the harness (each benchmark run) loads neither
+    assert modules_loaded_by("import ppdsp.harness",
+                             ["concurrent.futures", "logging"]) == []
