@@ -284,23 +284,6 @@ def enumerate_xi(instance: Instance) -> list[tuple[DeliveryRoutingSolution, floa
 
 # --- external solving -----------------------------------------------------
 
-_STATUS_NAMES = {"optimal": "Optimal", "feasible": "Feasible",
-                 "infeasible": "Infeasible", "timelimit": "TimeLimit"}
-
-
-def _scan_status(text: str) -> Optional[str]:
-    """The word on the first line whose first two tokens are '#' and 'status';
-    raises SolverProcessError if that line does not hold exactly one word."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if tokens[:2] == ["#", "status"]:
-            if len(tokens) != 3:
-                raise SolverProcessError(
-                    f"line {lineno}: malformed status line {line.strip()!r}")
-            return _STATUS_NAMES.get(tokens[2].lower(), tokens[2])
-    return None
-
-
 def _solver_environment() -> dict[str, str]:
     """The caller's environment, with every relative PYTHONPATH entry made
     absolute against the caller's working directory.
@@ -316,17 +299,15 @@ def _solver_environment() -> dict[str, str]:
     return env
 
 
-def run_adapter(adapter: SolverAdapter, lp_text: str, time_limit_s: float
-                ) -> tuple[str, Optional[str]]:
+def run_adapter(adapter: SolverAdapter, lp_text: str, time_limit_s: float) -> str:
     """Write the model, invoke the solver process, read the solution text.
 
     The solver runs with its working directory in a temporary directory, so
     any files it writes there are removed with it; a Python solver still
     imports what the caller's PYTHONPATH names (see _solver_environment).
 
-    Returns (solution text, declared status or None). Raises
-    SolverProcessError on a non-zero exit, no solution file, a timeout or a
-    malformed status line.
+    Returns the solution text; parse_solution reads it. Raises
+    SolverProcessError on a non-zero exit, no solution file or a timeout.
     """
     with tempfile.TemporaryDirectory(dir=adapter.workdir) as tmp:
         model_path = os.path.join(tmp, "model.lp")
@@ -359,8 +340,7 @@ def run_adapter(adapter: SolverAdapter, lp_text: str, time_limit_s: float
         if not os.path.exists(solution_path):
             raise SolverProcessError("solver produced no solution file")
         with open(solution_path, errors="replace") as fh:  # bad bytes fail to parse
-            raw = fh.read()
-    return raw, _scan_status(raw)
+            return fh.read()
 
 
 def request_raw_checks(encoding, raw_routes: dict[int, tuple[int, ...]]) -> list[str]:
@@ -473,18 +453,9 @@ def _solve_encoding(form: Formulation, encoding, adapter: SolverAdapter,
     Every failure the solver's answer can cause ends as an Error outcome."""
     status, objective, decoded, problems, error = "Error", None, None, [], ""
     try:
-        solution_text, status = run_adapter(adapter, emit_lp(encoding.model),
-                                            time_limit_s)
-        if status is None:
-            # values without a declared status are a solution, not a proof of optimality
-            if all(line.strip()[:1] in ("", "#")
-                   for line in solution_text.splitlines()):
-                raise SolverProcessError("solver wrote neither a status nor values")
-            status = "Feasible"
-        if status not in _STATUS_NAMES.values():
-            raise SolverProcessError(f"solver declared status {status!r}")
-        if status in ("Optimal", "Feasible"):
-            assignment = parse_solution(solution_text, encoding.model)
+        status, assignment = parse_solution(
+            run_adapter(adapter, emit_lp(encoding.model), time_limit_s), encoding.model)
+        if assignment is not None:
             objective = objective_value(encoding.model, assignment)
             decoded, raw_routes = form.decode(encoding, assignment)
             problems = form.audit(encoding, decoded, raw_routes)

@@ -109,6 +109,8 @@ def parse_tsplib(text: str, name: str = "") -> TsplibSample:
             x, y = float(parts[1]), float(parts[2])
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric coordinate row")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(f"line {lineno}: coordinate is not finite")
         if idx in seen_indexes:
             raise ParseError(f"line {lineno}: duplicate node index {idx}")
         seen_indexes.add(idx)
@@ -209,11 +211,10 @@ def average_distance(graph: LocationGraph) -> float:
     return total / (nv * (nv - 1))
 
 
-def make_requests(graph: LocationGraph, sorted_pairs: tuple[tuple[int, int], ...],
+def make_requests(avg_dist: float, sorted_pairs: tuple[tuple[int, int], ...],
                   n: int, rng: GenRng) -> list[Request]:
     if n > len(sorted_pairs):
         raise ValueError("not enough sorted pairs for n requests")
-    avg_dist = average_distance(graph)
     requests = []
     for r in range(n):
         q = round_half_up(rng.uniform(1, 2 * AVG_VOLUME - 1))
@@ -245,6 +246,10 @@ def generate_family(sample: TsplibSample, k_list: list[float], m: int, seed: int
         raise ValueError("k must be finite")
     ks = sorted(k_list)
     graph = LocationGraph(coords=sample.coords)
+    avg_dist = average_distance(graph)
+    if not math.isfinite(avg_dist):  # a request's reward would not be a number
+        raise ValueError(f"sample {sample.name}: average distance {avg_dist} "
+                         "is not finite")
     num_nondepot = graph.num_nodes - 1
     k_max = ks[-1]
     n_max = num_requests(graph.num_nodes, k_max)
@@ -263,7 +268,7 @@ def generate_family(sample: TsplibSample, k_list: list[float], m: int, seed: int
     out: dict[float, Instance] = {}
     for k in ks:
         n = num_requests(graph.num_nodes, k)
-        requests = make_requests(graph, sorted_pairs, n, rng)
+        requests = make_requests(avg_dist, sorted_pairs, n, rng)
         trucks = make_fleet(m)
         meta = InstanceMeta(sample=sample.name, k=k, m=m, n=n, seed=seed)
         out[k] = Instance(graph=graph, requests=tuple(requests),

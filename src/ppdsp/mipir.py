@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, chain, compress, cycle, repeat
 from operator import add, gt, is_, ne, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 # inf, infinity and nan, in any case, would read back from LP text as numbers
 _NAME = r"(?!(?i:inf|infinity|nan)(?:\n|\Z))[A-Za-z][A-Za-z0-9_]*"
@@ -314,21 +314,45 @@ def emit_lp(model: MipModel) -> str:
     return "\n".join(lines)
 
 
-def parse_solution(text: str, model: MipModel) -> dict[str, float]:
-    """Read 'name value' lines into a full assignment.
+_STATUS_NAMES = {"optimal": "Optimal", "feasible": "Feasible",
+                 "infeasible": "Infeasible", "timelimit": "TimeLimit"}
 
-    A name the model does not have, or a value that is not a finite number,
-    is refused; variables absent from the text default to 0.
+
+def parse_solution(text: str, model: MipModel) -> tuple[str, Optional[dict[str, float]]]:
+    """Read a solver's answer: (status, assignment), the assignment None
+    unless the status is Optimal or Feasible; unnamed variables are 0 in it.
+
+    A header is a line whose stripped text starts with '#'; the status line
+    is the first header whose first two tokens are '#' and 'status', and it
+    holds exactly one word more. Other lines are 'name value'; values alone
+    are Feasible, a solution but no proof of optimality. Raises
+    SolutionParseError for a malformed status line, a declared Error or
+    unknown status, no status and no values, or a bad value line.
     """
+    status: Optional[str] = None
+    value_lines: list[tuple[int, list[str]]] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if tokens[:2] == ["#", "status"] and status is None:
+            if len(tokens) != 3:
+                raise SolutionParseError(
+                    f"line {lineno}: malformed status line {line.strip()!r}")
+            status = _STATUS_NAMES.get(tokens[2].lower(), tokens[2])
+        elif tokens and not tokens[0].startswith("#"):
+            value_lines.append((lineno, tokens))
+    if status is None:
+        if not value_lines:
+            raise SolutionParseError("solver wrote neither a status nor values")
+        status = "Feasible"
+    if status not in _STATUS_NAMES.values():
+        raise SolutionParseError(f"solver declared status {status!r}")
+    if status not in ("Optimal", "Feasible"):
+        return status, None
     values: dict[str, float] = dict.fromkeys(model.names, 0.0)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
+    for lineno, tokens in value_lines:
+        if len(tokens) != 2:
             raise SolutionParseError(f"line {lineno}: expected 'name value'")
-        name, value_text = parts
+        name, value_text = tokens
         try:
             value = float(value_text)
         except ValueError:
@@ -338,7 +362,7 @@ def parse_solution(text: str, model: MipModel) -> dict[str, float]:
         if name not in values:
             raise SolutionParseError(f"line {lineno}: unknown variable {name}")
         values[name] = value
-    return values
+    return status, values
 
 
 def objective_value(model: MipModel, assignment: dict[str, float]) -> float:

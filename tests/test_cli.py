@@ -239,6 +239,37 @@ class TestInputErrors:
         assert main(args) == 2
         one_reason_line(capsys, reason)
 
+    @pytest.mark.parametrize("dimension, rows, reason", [
+        ("x", "1 0 0\n2 1 0\n3 0 1", "line 2: bad DIMENSION value"),
+        ("3", "1 0 0\n2 one 0\n3 0 1", "line 5: non-numeric coordinate row"),
+        ("2", "1 0 0\n2 1 0", "TooFewNodes: need at least 3 coordinate rows"),
+        ("3", "1 0 0\n2 1 0\n3 inf 1", "line 6: coordinate is not finite"),
+        ("3", "1 0 0\n2 1 0\n3 nan 1", "line 6: coordinate is not finite"),
+        ("3", "1 0 0\n2 1e308 0\n3 -1e308 1",
+         "sample bad: average distance inf is not finite"),
+    ], ids=["dimension-text", "coordinate-text", "two-rows", "inf", "nan",
+            "distance-overflow"])
+    @pytest.mark.parametrize("command", ["gen", "bench"])
+    def test_bad_tsplib_file(self, command, dimension, rows, reason, tmp_path, capsys):
+        path = tmp_path / "bad.tsp"
+        path.write_text(f"NAME: bad\nDIMENSION: {dimension}\nNODE_COORD_SECTION\n"
+                        f"{rows}\nEOF\n")
+        args = {"gen": ["gen", "--tsplib", str(path), "--k", "1", "--m", "1",
+                        "--seed", "0", "--out", str(tmp_path / "out")],
+                "bench": ["bench", "--tsplib", str(path), "--k", "1", "--m", "1",
+                          "--solver", "none"]}[command]
+        assert main(args) == 2
+        one_reason_line(capsys, reason)
+
+    def test_oracle_refuses_a_large_instance(self, tmp_path, capsys):
+        assert main(["gen", "--tsplib", data_path("burma14.tsp"), "--k", "1",
+                     "--m", "1", "--seed", "0", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["oracle", "--instance",
+                     str(tmp_path / "burma14_k1_m1_s0.instance")]) == 2
+        one_reason_line(capsys, "instance too large for enumeration "
+                                "(n=7, m=1, |V|=14; ~128 assignments)")
+
     @pytest.mark.parametrize("args", [
         ["solve", "--formulation", "loc", "--solver", "true {model_path}"],
         ["bench", "--tsplib", data_path("burma14.tsp"), "--k", "1", "--m", "2"],

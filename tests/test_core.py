@@ -7,7 +7,7 @@ import pytest
 from conftest import small_random_instance
 from ppdsp.core import (DeliveryRoutingSolution, Instance, LocationGraph,
                         Request, StructuralError, Truck, TruckPlan,
-                        ViolationKind, load_profile, validate_route,
+                        Violation, ViolationKind, load_profile, validate_route,
                         validate_solution, xi)
 from ppdsp.harness import oracle
 
@@ -97,6 +97,12 @@ class TestValidateRoute:
         report = validate_route(golden_instance.trucks[0], {2}, (0, 2, 3, 2, 0),
                                 golden_instance)
         assert ViolationKind.REPEATED_NODE in report.kinds()
+
+    def test_depot_revisited_mid_route(self, golden_instance):
+        report = validate_route(golden_instance.trucks[0], set(), (0, 1, 0, 2, 0),
+                                golden_instance)
+        assert report.violations == (Violation(ViolationKind.REPEATED_NODE, 0,
+                                               "depot revisited mid-route"),)
 
     def test_missing_node(self, golden_instance):
         report = validate_route(golden_instance.trucks[0], {0}, (0, 1, 2, 0),

@@ -101,6 +101,13 @@ class TestDecode:
         with pytest.raises(DecodeError):
             decode_location(encoding, values)
 
+    def test_two_departures_rejected(self, golden_instance):
+        encoding = encode_location(golden_instance)
+        values = golden_assignment(encoding)
+        values[x_name(0, 1, 3)] = 1.0  # node 1 already departs to node 2
+        with pytest.raises(DecodeError, match="truck 0: two departures from node 1"):
+            decode_location(encoding, values)
+
     def test_assignment_without_arcs_rejected(self, golden_instance):
         encoding = encode_location(golden_instance)
         values = dict.fromkeys(encoding.model.names, 0.0)

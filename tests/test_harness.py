@@ -20,9 +20,17 @@ from ppdsp.harness import (CensusMismatch, OracleRefused, SolveOutcome,
                            enumerate_xi, formulation, oracle, records_from_csv,
                            records_to_csv, render_markdown, run_adapter, solve)
 from ppdsp.instgen import serialize_instance
+from ppdsp.mipir import ModelBuilder, VarKind, parse_solution
 
 GOLDEN_XI_VALUES = [-2, -1, 0, 0, 0, 1, 1, 2, 2, 2, 3, 4, 4, 5, 7, 7, 7, 8,
                     9, 10, 11]
+
+
+def x1_model():
+    """A model of one binary variable, x1, in no row."""
+    builder = ModelBuilder()
+    builder.add_variables(["x1"], VarKind.BINARY, [0.0], [1.0], [1.0])
+    return builder.build()
 
 
 def stub_adapter(tmp_path, body: str) -> SolverAdapter:
@@ -129,8 +137,8 @@ class TestAdapters:
 
     def test_run_adapter_round_trip(self, tmp_path):
         adapter = stub_adapter(tmp_path, "# status Optimal\nx1 1\n")
-        text, status = run_adapter(adapter, "Maximize\n obj: x1\nEnd\n", 10)
-        assert status == "Optimal"
+        text = run_adapter(adapter, "Maximize\n obj: x1\nEnd\n", 10)
+        assert parse_solution(text, x1_model())[0] == "Optimal"
         assert "x1 1" in text
 
     def test_missing_solution_file(self, tmp_path):
@@ -156,8 +164,8 @@ class TestAdapters:
         adapter = SolverAdapter(
             command_template=f"{sys.executable} -m relative_stub_solver "
                              "{model_path} {solution_path}")
-        text, status = run_adapter(adapter, "Maximize\n obj: x1\nEnd\n", 10)
-        assert status == "Optimal"
+        text = run_adapter(adapter, "Maximize\n obj: x1\nEnd\n", 10)
+        assert parse_solution(text, x1_model())[0] == "Optimal"
         assert "x1 1" in text
 
     def test_nonzero_exit(self, tmp_path):
@@ -216,6 +224,9 @@ FAILURE_MODES = {
                     "line 1: malformed status line '# status'", 4),
     "two status words": ("# gap 0\n  # status Optimal now\n", None, "Error",
                          "line 2: malformed status line '# status Optimal now'", 4),
+    # only an Optimal or Feasible answer's value lines are read
+    "infeasible with a bad value line": ("# status Infeasible\nx_t0_o0_d1 1 2\n", None,
+                                         "Infeasible", "", 0),
 }
 
 
@@ -251,6 +262,21 @@ class TestSolve:
         outcome = solve(golden_instance, "location", adapter, 10)
         assert outcome.status == "Feasible"
         assert outcome.objective == 0.0
+
+    def test_request_answer_failing_the_audit(self, golden_instance, tmp_path):
+        # truck 0 drives 0-4-1-7: the dropoff of request 0 comes before its pickup
+        adapter = stub_adapter(tmp_path, "# status Optimal\nx_t0_o0_d4 1\n"
+                               "x_t0_o4_d1 1\nx_t0_o1_d7 1\nx_t1_o0_d7 1\n")
+        outcome = solve(golden_instance, "request", adapter, 10)
+        assert outcome.status == "Error"
+        assert outcome.error == "claimed-feasible solution fails validation"
+        assert outcome.violations == ("truck 0: dropoff of request 0 before its pickup",
+                                      "truck 0: negative load at node 4")
+        assert outcome.objective == 2.0
+        instance_path = tmp_path / "golden.instance"
+        instance_path.write_text(serialize_instance(golden_instance))
+        assert main(["solve", "--instance", str(instance_path), "--formulation", "req",
+                     "--solver", adapter.command_template]) == 3
 
     def test_fractional_solution_is_an_error(self, golden_instance, tmp_path):
         adapter = stub_adapter(tmp_path,
@@ -337,7 +363,9 @@ class TestSolve:
             max_size=6))
         base = data.draw(st.sampled_from([[], *ANSWERS[form].values()]))
         lines = data.draw(st.permutations([f"{name} 1" for name in base] + noise))
-        answer = ("\n".join(lines) + "\n", status)
+        if status is not None:
+            lines.insert(0, f"# status {status}")
+        answer = "\n".join(lines) + "\n"
         with mock.patch.object(harness, "run_adapter", lambda *args: answer):
             outcome = solve(golden_instance, form, SolverAdapter("{model_path}"), 10)
         assert isinstance(outcome, SolveOutcome)

@@ -323,8 +323,18 @@ class TestMain:
          "time limit 'nan' is not a positive number"),
         (b"Maximize\n obj: x\nSubject To\n c1: nan x <= 1\nBounds\n 0 <= x <= 5\nEnd\n",
          "10", "constraint 'c1'"),
+        (b"x1\nMaximize\n obj: x1\nSubject To\n c1: x1 <= 1\nEnd\n", "10",
+         "content before first section: 'x1'"),
+        (b"Subject To\n c1: x <= 1\nEnd\n", "10", "no objective section"),
+        (b"Maximize\n obj: x\nSubject To\n x <= 1\nEnd\n", "10",
+         "constraint without name: 'x <= 1'"),
+        (b"Maximize\n obj: x\nSubject To\n c1: 2 3 x <= 1\nEnd\n", "10",
+         "two consecutive numbers near '3' in constraint 'c1: 2 3 x <= 1'"),
+        (b"Maximize\n obj: x\nSubject To\n c1: x <= 1\nBounds\n x >= 1\nEnd\n",
+         "10", "unsupported bound line: 'x >= 1'"),
     ], ids=["not-utf8", "time-limit", "bound", "negative-limit", "zero-limit",
-            "nan-limit", "nan-coefficient"])
+            "nan-limit", "nan-coefficient", "before-first-section", "no-objective",
+            "unnamed-row", "two-numbers", "one-sided-bound"])
     def test_bad_input_exits_2_with_one_reason_line(self, tmp_path, capsys,
                                                      content, limit, reason):
         model = tmp_path / "model.lp"
@@ -418,7 +428,8 @@ class TestTelemetry:
         assert 0.0 <= gap <= 1e-4
         assert int(header["nodes"]) >= 0
         # the reader skips the header; the values still decode
-        assert parse_solution(text, model)
+        status, values = parse_solution(text, model)
+        assert status == "Optimal" and values
 
     @pytest.mark.parametrize("sense", ["Maximize", "Minimize"])
     def test_no_incumbent_has_an_infinite_gap(self, tmp_path, sense):

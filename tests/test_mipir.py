@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -98,6 +99,35 @@ class TestInvariants:
         add_free(b, "x", "x")
         with pytest.raises(ModelError, match="duplicate variable names"):
             b.build()
+
+
+# (a refused construction, its message): column lists of unequal length,
+# given to the builder or straight to the model
+UNEQUAL_COLUMNS = {
+    "add_variables": (lambda: ModelBuilder().add_variables(
+        ["x", "y"], VarKind.BINARY, [0.0, 0.0], [1.0], [0.0, 0.0]),
+        "variable columns differ in length"),
+    "add_rows": (lambda: ModelBuilder().add_rows(
+        ["r1", "r2"], [Sense.LE], [1.0, 1.0], [1, 1], [0, 0], [1.0, 1.0]),
+        "row columns differ in length"),
+    "model kinds": (lambda: dataclasses.replace(tiny_model(), kinds=[VarKind.BINARY]),
+                    "variable columns differ in length"),
+    "model objective": (lambda: dataclasses.replace(tiny_model(), objective=[]),
+                        "variable columns differ in length"),
+    "model rhs": (lambda: dataclasses.replace(tiny_model(), rhs=[1.0]),
+                  "row columns differ in length"),
+    "model row_start": (lambda: dataclasses.replace(tiny_model(), row_start=[0, 2, 4]),
+                        "row columns differ in length"),
+    "model coefs": (lambda: dataclasses.replace(tiny_model(), coefs=[1.0]),
+                    "row columns differ in length"),
+}
+
+
+@pytest.mark.parametrize("construct, message", UNEQUAL_COLUMNS.values(),
+                         ids=UNEQUAL_COLUMNS)
+def test_unequal_column_lists_refused(construct, message):
+    with pytest.raises(ModelError, match=message):
+        construct()
 
 
 class TestBuildValidation:
@@ -364,7 +394,8 @@ class TestEmitLp:
 class TestParseSolution:
     def test_reads_pairs_and_defaults(self):
         model = tiny_model()
-        values = parse_solution("# status Optimal\nx1 1\nh 2.5\n", model)
+        status, values = parse_solution("# status Optimal\nx1 1\nh 2.5\n", model)
+        assert status == "Optimal"
         assert values["x1"] == 1.0
         assert values["h"] == 2.5
         assert values["x2"] == 0.0 and values["u"] == 0.0
