@@ -499,7 +499,11 @@ def bench(samples: list[TsplibSample], k_list: list[float], m_list: list[int],
           time_limit_s: float, seed: int) -> list[BenchRecord]:
     """One record per (sample, m, k, formulation) cell, in that order. Every
     family is drawn first; then the cells run one at a time, so a time limit
-    means the same in each. A failed cell is recorded and the run goes on."""
+    means the same in each. A failed cell is recorded and the run goes on.
+    A k or an m given twice is refused with a ValueError."""
+    repeated = next((m for i, m in enumerate(m_list) if m in m_list[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"m={repeated} is given twice")
     forms = [formulation(name) for name in formulations]
     cells: list[tuple[Instance, Formulation]] = []
     for sample in samples:

@@ -70,84 +70,22 @@ def _split_sections(text: str) -> dict[str, list[str]]:
 # takes other scripts' digits). Every other token is a variable name, so it
 # is classified without the ValueError that float() would raise for it.
 _NAME_START = frozenset(map(chr, range(128))) - set("0123456789.+-iInN")
-_NONFINITE_WORDS = frozenset({"inf", "infinity", "nan"})
 # each comparator token -> the one str object that every row shares
 _COMPARATORS = {op: op for op in ("<=", ">=", "=")}
 
 
-def _number(tok: str) -> float | None:
-    """float(tok), or None where float() refuses tok."""
-    if tok[0] in "iInN" and tok.lower() not in _NONFINITE_WORDS:
-        return None
-    try:
-        return float(tok)
-    except ValueError:
-        return None
-
-
 class _Numbers(dict):
-    """One parse's number tokens: `numbers[tok]` is `_number(tok)`, computed
-    once per distinct token, so that its repeats share one value."""
+    """One parse's number tokens: `numbers[tok]` is float(tok), or None where
+    float() refuses tok, computed once per distinct token, so that its
+    repeats share one value."""
 
     def __missing__(self, tok: str) -> float | None:
-        value = self[tok] = _number(tok)
+        try:
+            value = float(tok)
+        except ValueError:
+            value = None
+        self[tok] = value
         return value
-
-
-class _Shared:
-    """One parse's shared objects: the str first read for each variable name
-    (added on first sight), each number token's value, the negated value of
-    each number token read after '-', and each name's unit terms (name, 1.0)
-    and (name, -1.0). `names` holds no number token, so that `_parse_terms`
-    can read any token in it as a name."""
-
-    def __init__(self):
-        self.names: dict[str, str] = {}
-        self.numbers = _Numbers()
-        self.negated: dict[str, float] = {}
-        self.plus: dict[str, tuple[str, float]] = {}
-        self.minus: dict[str, tuple[str, float]] = {}
-
-
-def _parse_terms(tokens: list[str], shared: _Shared) -> list[tuple[str, float]]:
-    """Parse '3 x + y - 2 z' style linear expressions into (name, coefficient)
-    terms, built from the objects that `shared` holds."""
-    terms: list[tuple[str, float]] = []
-    append = terms.append
-    names, numbers, negated = shared.names, shared.numbers, shared.negated
-    plus, minus = shared.plus, shared.minus
-    known = names.get
-    units = plus  # the unit terms of the pending sign
-    coef = None  # the pending coefficient, signed, if one was read
-    for tok in tokens:
-        if tok == "+":
-            units, coef = plus, None
-        elif tok == "-":
-            units, coef = minus, None
-        elif coef is None and (term := units.get(tok)) is not None:
-            append(term)
-            units = plus
-        elif ((name := known(tok)) is not None or tok[0] in _NAME_START
-              or (value := numbers[tok]) is None):
-            if name is None:
-                name = names[tok] = tok
-            if coef is None:
-                term = units[name] = (name, 1.0 if units is plus else -1.0)
-                append(term)
-            else:
-                append((name, coef))
-            units, coef = plus, None
-        elif coef is not None:
-            raise LpParseError(f"two consecutive numbers near {tok!r}")
-        elif units is minus:
-            coef = negated.get(tok)
-            if coef is None:
-                coef = negated[tok] = -value
-        else:
-            coef = value
-    if coef is not None:
-        raise LpParseError("dangling coefficient at end of expression")
-    return terms
 
 
 def _bound_value(tok: str, line: str, numbers: _Numbers) -> float:
@@ -179,16 +117,62 @@ def parse_lp(text: str):
         raise LpParseError("no objective section")
     obj_tokens = [tok for line in objective_lines
                   for tok in (line.partition(":")[2] if ":" in line else line).split()]
-    # the sections after the rows, which may hold any token, add to `names`
-    # only once every expression is read
-    shared = _Shared()
-    names, numbers = shared.names, shared.numbers
+    # one parse's shared objects: the str first read for each variable name
+    # (added on first sight), each number token's value, the negated value of
+    # each number token read after '-', and each name's unit terms (name, 1.0)
+    # and (name, -1.0). `names` holds no number token, so that read_terms can
+    # read any token in it as a name: the sections after the rows, which may
+    # hold any token, add to it only once every expression is read
+    names: dict[str, str] = {}
+    numbers = _Numbers()
+    negated: dict[str, float] = {}
+    plus: dict[str, tuple[str, float]] = {}
+    minus: dict[str, tuple[str, float]] = {}
+
+    def read_terms(tokens: list[str]) -> list[tuple[str, float]]:
+        """Parse '3 x + y - 2 z' style linear expressions into (name,
+        coefficient) terms, built from the shared objects."""
+        terms: list[tuple[str, float]] = []
+        append = terms.append
+        known = names.get
+        units = plus  # the unit terms of the pending sign
+        coef = None  # the pending coefficient, signed, if one was read
+        for tok in tokens:
+            if tok == "+":
+                units, coef = plus, None
+            elif tok == "-":
+                units, coef = minus, None
+            elif coef is None and (term := units.get(tok)) is not None:
+                append(term)
+                units = plus
+            elif ((name := known(tok)) is not None or tok[0] in _NAME_START
+                  or (value := numbers[tok]) is None):
+                if name is None:
+                    name = names[tok] = tok
+                if coef is None:
+                    term = units[name] = (name, 1.0 if units is plus else -1.0)
+                    append(term)
+                else:
+                    append((name, coef))
+                units, coef = plus, None
+            elif coef is not None:
+                raise LpParseError(f"two consecutive numbers near {tok!r}")
+            elif units is minus:
+                coef = negated.get(tok)
+                if coef is None:
+                    coef = negated[tok] = -value
+            else:
+                coef = value
+        if coef is not None:
+            raise LpParseError("dangling coefficient at end of expression")
+        return terms
+
     # what is built here holds no reference cycles, so the cyclic collector
     # would only re-scan it; pause it, and leave it as the caller had it
     collecting = gc.isenabled()
     gc.disable()
     try:
-        objective = _parse_terms(obj_tokens, shared)
+        objective = read_terms(obj_tokens)
         del obj_tokens, objective_lines
         # each row line goes, in file order, once its row is built
         lines = sections.pop("subject to", [])
@@ -213,7 +197,7 @@ def parse_lp(text: str):
                                    f"{tokens[-1]!r} in constraint {line.strip()!r}")
             del tokens[-2:]
             try:
-                terms = _parse_terms(tokens, shared)
+                terms = read_terms(tokens)
             except LpParseError as exc:
                 raise LpParseError(f"{exc} in constraint {line.strip()!r}") from None
             rows.append((name.strip(), terms, op, rhs))
@@ -281,15 +265,6 @@ def _highs():
     return module
 
 
-class _Columns(dict):
-    """Variable name -> column. Looking up a name not seen before gives it
-    the next column."""
-
-    def __missing__(self, name: str) -> int:
-        column = self[name] = len(self)
-        return column
-
-
 # HiGHS model status -> (status word without an incumbent, word with one);
 # every other model status, kModelError included, is "Error"
 _STATUS_WORDS = {
@@ -319,9 +294,11 @@ def solve_lp(text: str, time_limit_s: float | None = None):
     del text
     # columns in order of first appearance: the objective, the rows, then
     # the Bounds, Generals and Binaries sections
-    index = _Columns()
-    for name, _ in objective:
-        index[name]
+    names = list(dict.fromkeys(chain(
+        (name for name, _ in objective),
+        (name for _, terms, _, _ in rows for name, _ in terms),
+        bounds, integers, binaries)))
+    index = {name: j for j, name in enumerate(names)}
 
     # the rows as a row-wise sparse matrix
     start, cols, coefs, row_lower, row_upper = [0], [], [], [], []
@@ -343,9 +320,6 @@ def solve_lp(text: str, time_limit_s: float | None = None):
                     if isnan(rhs) or any(isnan(coef) for _, coef in terms))
         raise LpParseError(f"NaN coefficient or rhs in constraint {name!r}")
 
-    for name in chain(bounds, integers, binaries):
-        index[name]
-    names = list(index)
     num = len(names)
     cost = [0.0] * num
     for name, coef in objective:

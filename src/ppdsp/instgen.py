@@ -244,6 +244,10 @@ def generate_family(sample: TsplibSample, k_list: list[float], m: int, seed: int
         raise ValueError("k_list is empty")
     if not all(math.isfinite(k) for k in k_list):
         raise ValueError("k must be finite")
+    # each k draws its own requests, so a second draw would shift later k's
+    repeated = next((k for i, k in enumerate(k_list) if k in k_list[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"k={repeated:g} is given twice")
     ks = sorted(k_list)
     graph = LocationGraph(coords=sample.coords)
     avg_dist = average_distance(graph)

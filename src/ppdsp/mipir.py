@@ -241,13 +241,6 @@ def _num(x: float) -> str:
     return repr(x)
 
 
-def _lead_text(coef: float) -> str:
-    """What precedes a variable's name as the first term of an expression."""
-    if coef < 0:
-        return f"- {_num(-coef)} " if coef != -1 else "- "
-    return f"{_num(coef)} " if coef != 1 else ""
-
-
 def _next_text(coef: float) -> str:
     """What precedes a variable's name as a later term of an expression."""
     sign = "+" if coef >= 0 else "-"
@@ -271,8 +264,9 @@ def emit_lp(model: MipModel) -> str:
     names, objective, coefs, row_start = (model.names, model.objective,
                                           model.coefs, model.row_start)
     distinct = {*coefs, *objective}
-    lead = {coef: _lead_text(coef) for coef in distinct}
     later = {coef: _next_text(coef) for coef in distinct}
+    # a first term's text is its later text without the "+ "; a "- " stays
+    lead = {coef: text.removeprefix("+ ") for coef, text in later.items()}
     nonzero = list(map(ne, objective, repeat(0.0)))
     if any(nonzero):
         obj_line = " obj: " + " ".join(_term_texts(
@@ -327,7 +321,8 @@ def parse_solution(text: str, model: MipModel) -> tuple[str, Optional[dict[str, 
     holds exactly one word more. Other lines are 'name value'; values alone
     are Feasible, a solution but no proof of optimality. Raises
     SolutionParseError for a malformed status line, a declared Error or
-    unknown status, no status and no values, or a bad value line.
+    unknown status, no status and no values, a bad value line, or a
+    variable given twice.
     """
     status: Optional[str] = None
     value_lines: list[tuple[int, list[str]]] = []
@@ -349,6 +344,7 @@ def parse_solution(text: str, model: MipModel) -> tuple[str, Optional[dict[str, 
     if status not in ("Optimal", "Feasible"):
         return status, None
     values: dict[str, float] = dict.fromkeys(model.names, 0.0)
+    given: set[str] = set()
     for lineno, tokens in value_lines:
         if len(tokens) != 2:
             raise SolutionParseError(f"line {lineno}: expected 'name value'")
@@ -361,6 +357,9 @@ def parse_solution(text: str, model: MipModel) -> tuple[str, Optional[dict[str, 
             raise SolutionParseError(f"line {lineno}: bad value {value_text!r}")
         if name not in values:
             raise SolutionParseError(f"line {lineno}: unknown variable {name}")
+        if name in given:
+            raise SolutionParseError(f"line {lineno}: variable {name} given twice")
+        given.add(name)
         values[name] = value
     return status, values
 

@@ -213,6 +213,23 @@ class TestInputErrors:
         assert main(self.bench_args("--m", "0")) == 2
         one_reason_line(capsys, "m must be >= 1")
 
+    @pytest.mark.parametrize("k, m, reason", [
+        ("1,1,2", "2", "k=1 is given twice"),
+        ("2,1,2.0", "2", "k=2 is given twice"),
+        ("1", "2,4,2", "m=2 is given twice"),
+    ])
+    def test_bench_repeated_k_or_m(self, k, m, reason, capsys):
+        assert main(["bench", "--tsplib", data_path("burma14.tsp"), "--k", k,
+                     "--m", m, "--solver", "none"]) == 2
+        one_reason_line(capsys, reason)
+
+    def test_gen_repeated_k(self, tmp_path, capsys):
+        out = tmp_path / "instances"
+        assert main(["gen", "--tsplib", data_path("burma14.tsp"), "--k", "1,1,2",
+                     "--m", "2", "--seed", "0", "--out", str(out)]) == 2
+        one_reason_line(capsys, "k=1 is given twice")
+        assert not out.exists()
+
     def test_bench_pairing_stalled(self, capsys, monkeypatch):
         def stalled(repetition, n, rng):
             raise instgen.PairingStalled("no valid pairing after 3 reshuffles")

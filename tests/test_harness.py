@@ -200,6 +200,9 @@ FAILURE_MODES = {
                          "not integral", 4),
     "non-finite value": ("# status Optimal\nu_t0_v1 nan\n", None, "Error",
                          "line 2: bad value 'nan'", 4),
+    "variable given twice": ("# status Optimal\ny_t1_r2 1\nx_t1_o0_d2 1\nx_t1_o2_d3 1\n"
+                             "x_t1_o3_d0 1\ny_t1_r2 0\n", None, "Error",
+                             "line 6: variable y_t1_r2 given twice", 4),
     "no status line": ("y_t0_r0 0\n", None, "Feasible", "", 0),
     "empty answer": ("true > {solution_path} # {model_path}", None, "Error",
                      "solver wrote neither a status nor values", 4),

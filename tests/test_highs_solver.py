@@ -407,6 +407,15 @@ class TestStatusWords:
         lp = "Maximize\n obj: x\nSubject To\n c1: x + x <= 3\nEnd\n"
         assert solve_lp_text(lp) == ("Optimal", 1.5, {"x": 1.5})
 
+    def test_columns_in_order_of_first_appearance(self):
+        # each section brings in one new name, later than the names before it
+        # in no sorted order, and repeats names that came before
+        lp = ("Maximize\n obj: z\nSubject To\n c1: y + z <= 1\nBounds\n"
+              " 0 <= z <= 1\n 0 <= x <= 1\nGenerals\n y w\nBinaries\n x v\nEnd\n")
+        status, _, values = solve_lp_text(lp)
+        assert status == "Optimal"
+        assert list(values) == ["z", "y", "x", "w", "v"]
+
 
 class TestTelemetry:
     @pytest.mark.parametrize("encode", [encode_location, encode_request])

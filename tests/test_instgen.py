@@ -162,6 +162,11 @@ class TestGeneration:
         b = generate_family(burma14, [1.5], 3, seed)[1.5]
         assert serialize_instance(a) == serialize_instance(b)
 
+    def test_repeated_k_refused(self, burma14):
+        # a second draw for k=1 would shift the requests of every later k
+        with pytest.raises(ValueError, match="k=1 is given twice"):
+            generate_family(burma14, [1, 2, 1.0], 2, seed=0)
+
     def test_different_seeds_differ(self, burma14):
         a = generate_family(burma14, [1], 2, seed=1)[1]
         b = generate_family(burma14, [1], 2, seed=2)[1]

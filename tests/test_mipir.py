@@ -390,6 +390,33 @@ class TestEmitLp:
         model = columns_model(["x"], VarKind.BINARY, [0.0], [0.0], rows=[[0]])
         assert " 0 <= x <= 0" in emit_lp(model)
 
+    @pytest.mark.parametrize("coef, terms", [
+        (0.0, "0 v0 + 0 v1"), (-0.0, "0 v0 + 0 v1"), (1.0, "v0 + v1"),
+        (-1.0, "- v0 - v1"), (2.5, "2.5 v0 + 2.5 v1"), (-2.5, "- 2.5 v0 - 2.5 v1"),
+        (1e-7, "1e-07 v0 + 1e-07 v1"), (-1e20, "- 1e+20 v0 - 1e+20 v1")])
+    def test_coefficient_as_first_and_later_term(self, coef, terms):
+        b = ModelBuilder()
+        b.add_variables(["v0", "v1"], VarKind.CONTINUOUS, [0.0, 0.0], [1.0, 1.0],
+                        [coef, coef])
+        b.add_rows(["r"], [Sense.LE], [1.0], [2], [0, 1], [coef, coef])
+        # an objective of zeros is written as its first variable times 0
+        objective = terms if coef else "0 v0"
+        assert emit_lp(b.build()) == (
+            f"Maximize\n obj: {objective}\nSubject To\n r: {terms} <= 1\n"
+            "Bounds\n 0 <= v0 <= 1\n 0 <= v1 <= 1\nEnd\n")
+
+    def test_no_variables(self):
+        assert emit_lp(ModelBuilder().build()) == (
+            "Maximize\n obj:\nSubject To\nBounds\nEnd\n")
+
+    def test_no_rows(self):
+        b = ModelBuilder()
+        b.add_variables(["x"], VarKind.BINARY, [0.0], [1.0], [-2.0])
+        b.add_variables(["u"], VarKind.INTEGER, [0.0], [POS_INF], [1.0])
+        assert emit_lp(b.build()) == (
+            "Maximize\n obj: - 2 x + u\nSubject To\nBounds\n 0 <= u <= +inf\n"
+            "Generals\n u\nBinaries\n x\nEnd\n")
+
 
 class TestParseSolution:
     def test_reads_pairs_and_defaults(self):
@@ -404,6 +431,11 @@ class TestParseSolution:
         # a solver that renames variables must not read as an all-zero answer
         with pytest.raises(SolutionParseError, match="line 2: unknown variable X1"):
             parse_solution("x1 1\nX1 1\n", tiny_model())
+
+    def test_variable_given_twice_refused(self):
+        # the last value would win, whatever the first one said
+        with pytest.raises(SolutionParseError, match="line 3: variable x1 given twice"):
+            parse_solution("# status Optimal\nx1 1\nx1 0\n", tiny_model())
 
     def test_malformed_line(self):
         with pytest.raises(SolutionParseError):
