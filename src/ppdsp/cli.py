@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -25,8 +24,6 @@ from .core import (DeliveryRoutingSolution, StructuralError, TruckPlan,
                    validate_solution, xi)
 from .instgen import ParseError, json_int
 from .mipir import ModelError, emit_lp
-
-log = logging.getLogger("ppdsp")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -203,15 +200,10 @@ def cmd_bench(args) -> int:
     samples = [_read_sample(p) for p in args.tsplib]
     k_list = _parse_list(args.k, float, "k")
     m_list = _parse_list(args.m, int, "m")
-    try:
-        formulations = [harness.formulation(f).name
-                        for f in args.formulations.split(",")]
-    except ValueError as exc:
-        raise CliError(str(exc))
     adapter = _adapter_from(args.solver)
     try:
-        records = harness.bench(samples, k_list, m_list, formulations, adapter,
-                                args.time_limit, args.seed)
+        records = harness.bench(samples, k_list, m_list, args.formulations.split(","),
+                                adapter, args.time_limit, args.seed)
     except ModelError:
         raise  # an encoder fault, not bad input
     except harness.CensusMismatch as exc:
@@ -231,10 +223,10 @@ def cmd_bench(args) -> int:
 def cmd_report(args) -> int:
     try:
         records = harness.records_from_csv(_read_text(args.csv))
+        text = harness.render_markdown(records, solver_label=args.solver_label,
+                                       time_limit_s=args.time_limit)
     except ValueError as exc:
         raise CliError(f"{args.csv}: {exc}")
-    text = harness.render_markdown(records, solver_label=args.solver_label,
-                                   time_limit_s=args.time_limit)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -246,7 +238,6 @@ def cmd_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ppdsp")
-    parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate seeded instances from a TSPLIB sample")
@@ -304,9 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
-                        format="%(levelname)s %(message)s")
-    log.debug("configuration: %s", vars(args))
     try:
         return args.func(args)
     except CliError as exc:

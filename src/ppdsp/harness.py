@@ -22,7 +22,7 @@ from typing import Callable, Optional
 from . import enc_location, enc_request
 from .core import (DeliveryRoutingSolution, Instance, Truck, TruckPlan,
                    validate_solution, xi)
-from .instgen import TsplibSample, generate_family
+from .instgen import TsplibSample, first_repeat, generate_family
 from .mipir import (SolutionParseError, census, emit_lp, objective_value,
                     parse_solution)
 
@@ -500,11 +500,14 @@ def bench(samples: list[TsplibSample], k_list: list[float], m_list: list[int],
     """One record per (sample, m, k, formulation) cell, in that order. Every
     family is drawn first; then the cells run one at a time, so a time limit
     means the same in each. A failed cell is recorded and the run goes on.
-    A k or an m given twice is refused with a ValueError."""
-    repeated = next((m for i, m in enumerate(m_list) if m in m_list[:i]), None)
-    if repeated is not None:
-        raise ValueError(f"m={repeated} is given twice")
+    An unknown formulation, or an axis naming one value twice (a sample by
+    its NAME, a k, an m, or a formulation under any alias), is refused with
+    a ValueError before any cell runs."""
     forms = [formulation(name) for name in formulations]
+    for axis, values in (("sample", [sample.name for sample in samples]),
+                         ("m", m_list), ("formulation", [f.name for f in forms])):
+        if (repeated := first_repeat(values)) is not None:
+            raise ValueError(f"{axis}={repeated} is given twice")
     cells: list[tuple[Instance, Formulation]] = []
     for sample in samples:
         for m in m_list:
@@ -554,10 +557,15 @@ def render_markdown(records: list[BenchRecord], solver_label: str = "none",
 
     Objective columns carry the solver name and time limit so the numbers
     cannot be mistaken for published figures obtained under other settings.
+    A cell that appears twice is refused with a ValueError.
     """
     by_table: dict[tuple[str, int], dict[tuple[float, str], BenchRecord]] = {}
     for r in records:
-        by_table.setdefault((r.sample, r.m), {})[(r.k, r.formulation)] = r
+        first = by_table.setdefault((r.sample, r.m), {}).setdefault(
+            (r.k, r.formulation), r)
+        if first is not r:
+            raise ValueError(f"cell {r.sample} m={r.m} k={r.k:g} {r.formulation} "
+                             f"appears twice (seeds {first.seed} and {r.seed})")
     obj_label = f"Obj. [{solver_label}"
     if time_limit_s is not None:
         obj_label += f", {time_limit_s:g}s limit"

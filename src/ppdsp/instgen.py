@@ -120,8 +120,6 @@ def parse_tsplib(text: str, name: str = "") -> TsplibSample:
     if dimension is not None and dimension != len(coord_rows):
         raise ParseError(f"DIMENSION {dimension} disagrees with {len(coord_rows)} rows")
     coords = tuple((x, y) for _, x, y in coord_rows)
-    if len(coords) < 3:
-        raise ParseError("TooFewNodes: need at least 3 coordinate rows")
     return TsplibSample(name=header_name or "unnamed", coords=coords)
 
 
@@ -236,6 +234,11 @@ def make_fleet(m: int) -> list[Truck]:
     return trucks
 
 
+def first_repeat(values):
+    """The first of `values` equal to an earlier one, or None."""
+    return next((v for i, v in enumerate(values) if v in values[:i]), None)
+
+
 def generate_family(sample: TsplibSample, k_list: list[float], m: int, seed: int
                     ) -> dict[float, Instance]:
     """Build one pair family at max(k) and carve each smaller k out of its
@@ -245,8 +248,7 @@ def generate_family(sample: TsplibSample, k_list: list[float], m: int, seed: int
     if not all(math.isfinite(k) for k in k_list):
         raise ValueError("k must be finite")
     # each k draws its own requests, so a second draw would shift later k's
-    repeated = next((k for i, k in enumerate(k_list) if k in k_list[:i]), None)
-    if repeated is not None:
+    if (repeated := first_repeat(k_list)) is not None:
         raise ValueError(f"k={repeated:g} is given twice")
     ks = sorted(k_list)
     graph = LocationGraph(coords=sample.coords)
@@ -318,16 +320,10 @@ def _emit_json(value, out: list[str], indent: int) -> None:
             if i < len(value) - 1:
                 out.append(", ")
         out.append("]")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(str(value))
     elif isinstance(value, float):
         out.append(_fmt_float(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
     else:
-        raise TypeError(f"unsupported value {value!r}")
+        out.append(json.dumps(value))
 
 
 def serialize_instance(instance: Instance) -> str:

@@ -230,6 +230,50 @@ class TestInputErrors:
         one_reason_line(capsys, "k=1 is given twice")
         assert not out.exists()
 
+    def test_bench_formulation_given_twice_under_two_names(self, capsys):
+        assert main(self.bench_args("--m", "2", "--formulations", "loc,location")) == 2
+        one_reason_line(capsys, "formulation=location is given twice")
+
+    def test_bench_sample_given_twice_under_two_paths(self, capsys):
+        path = data_path("burma14.tsp")
+        dotted = os.path.join(os.path.dirname(path), ".", os.path.basename(path))
+        assert main(["bench", "--tsplib", path, dotted, "--k", "1", "--m", "2",
+                     "--formulations", "req", "--solver", "none"]) == 2
+        one_reason_line(capsys, "sample=burma14 is given twice")
+
+    def test_bench_two_samples_with_one_name(self, tmp_path, capsys):
+        paths = []
+        for stem, rows in (("a", "1 0 0\n2 1 0\n3 0 1"), ("b", "1 0 0\n2 2 0\n3 0 2")):
+            paths.append(tmp_path / f"{stem}.tsp")
+            paths[-1].write_text(f"NAME: twin\nNODE_COORD_SECTION\n{rows}\nEOF\n")
+        assert main(["bench", "--tsplib", *map(str, paths), "--k", "1", "--m", "2",
+                     "--solver", "none"]) == 2
+        one_reason_line(capsys, "sample=twin is given twice")
+
+    @pytest.mark.parametrize("k, reason", [(",", "k_list is empty"),
+                                           ("0.01", "n must be >= 1")])
+    @pytest.mark.parametrize("command", ["gen", "bench"])
+    def test_k_list_without_requests(self, command, k, reason, tmp_path, capsys):
+        out = tmp_path / "instances"
+        args = {"gen": ["gen", "--tsplib", data_path("burma14.tsp"), "--k", k,
+                        "--m", "2", "--seed", "0", "--out", str(out)],
+                "bench": ["bench", "--tsplib", data_path("burma14.tsp"), "--k", k,
+                          "--m", "2", "--solver", "none"]}[command]
+        assert main(args) == 2
+        one_reason_line(capsys, reason)
+        assert not out.exists()
+
+    def test_report_refuses_a_repeated_cell(self, tmp_path, capsys):
+        csv_path = tmp_path / "bench.csv"
+        csv_path.write_text(
+            "sample,k,m,n,formulation,num_vars,num_rows,status,objective,"
+            "wall_time_s,seed\n"
+            "burma14,1,2,7,location,458,1041,Optimal,5.000000,1.000,0\n"
+            "burma14,1,2,7,location,458,1041,Optimal,9.000000,1.000,1\n")
+        assert main(["report", "--csv", str(csv_path)]) == 2
+        one_reason_line(capsys, f"{csv_path}: cell burma14 m=2 k=1 location "
+                                "appears twice (seeds 0 and 1)")
+
     def test_bench_pairing_stalled(self, capsys, monkeypatch):
         def stalled(repetition, n, rng):
             raise instgen.PairingStalled("no valid pairing after 3 reshuffles")

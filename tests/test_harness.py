@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_random_instance
+from conftest import data_path, small_random_instance
 from ppdsp import enc_location, enc_request, harness
 from ppdsp.cli import main
 from ppdsp.core import (DeliveryRoutingSolution, Instance, InstanceMeta,
@@ -19,7 +19,7 @@ from ppdsp.harness import (CensusMismatch, OracleRefused, SolveOutcome,
                            SolverAdapter, SolverProcessError, bench,
                            enumerate_xi, formulation, oracle, records_from_csv,
                            records_to_csv, render_markdown, run_adapter, solve)
-from ppdsp.instgen import serialize_instance
+from ppdsp.instgen import parse_tsplib, serialize_instance
 from ppdsp.mipir import ModelBuilder, VarKind, parse_solution
 
 GOLDEN_XI_VALUES = [-2, -1, 0, 0, 0, 1, 1, 2, 2, 2, 3, 4, 4, 5, 7, 7, 7, 8,
@@ -430,6 +430,23 @@ class TestBench:
         assert "Obj. [stub, 60s limit]" in text
         assert "**458**" in text   # smaller variable count wins
         assert "**1027**" in text  # smaller row count wins
+
+    @pytest.mark.parametrize("second, formulations, reason", [
+        (None, ["loc", "location"], "formulation=location is given twice"),
+        ("burma14.tsp", ["req"], "sample=burma14 is given twice"),
+        ("ulysses16.tsp", ["req"], "sample=burma14 is given twice"),
+    ], ids=["formulation-alias", "sample-file-twice", "sample-name-twice"])
+    def test_repeated_cell_refused_before_any_draw(self, burma14, second,
+                                                   formulations, reason, monkeypatch):
+        samples = [burma14]
+        if second:  # read again; the second file renamed to burma14
+            with open(data_path(second)) as fh:
+                samples.append(dataclasses.replace(parse_tsplib(fh.read()),
+                                                   name="burma14"))
+        monkeypatch.setattr(harness, "generate_family", lambda *args: pytest.fail(
+            "a family was drawn before the repeat was refused"))
+        with pytest.raises(ValueError, match=reason):
+            bench(samples, [1], [2], formulations, None, 1, seed=0)
 
     def test_census_mismatch_propagates(self, burma14, monkeypatch):
         # the registry looks the closed form up when it runs, so this reaches it

@@ -1,13 +1,16 @@
+import hashlib
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import data_path
 from ppdsp.core import LocationGraph
 from ppdsp.instgen import (GenRng, InfeasibleRepetition, PairingStalled,
-                           ParseError, average_distance, generate_family,
-                           make_fleet, num_requests, pair_nodes, parse_instance,
-                           parse_tsplib, repetition_counts, round_half_up,
-                           serialize_instance, sort_pairs)
+                           ParseError, TsplibSample, average_distance,
+                           generate_family, make_fleet, num_requests, pair_nodes,
+                           parse_instance, parse_tsplib, repetition_counts,
+                           round_half_up, serialize_instance, sort_pairs)
 
 
 def feasible_pairing(counts, n, rng):
@@ -73,6 +76,12 @@ class TestParseTsplib:
     def test_bad_row(self):
         with pytest.raises(ParseError):
             parse_tsplib(TSPLIB_MINI.replace("2 3.0 0.0", "2 3.0"))
+
+    def test_sample_of_two_rows_refused(self):
+        # the one place the at-least-3-rows rule lives; parse_tsplib reaches it too
+        with pytest.raises(ParseError,
+                           match="^TooFewNodes: need at least 3 coordinate rows$"):
+            TsplibSample(name="two", coords=((0.0, 0.0), (1.0, 0.0)))
 
 
 class TestRepetitionCounts:
@@ -186,6 +195,19 @@ class TestSerialization:
     def test_golden_round_trip(self, golden_instance):
         text = serialize_instance(golden_instance)
         assert parse_instance(text) == golden_instance
+
+    @pytest.mark.parametrize("k, digest", [
+        (1, "a4d7aca0dcac6bdb64fbb6c3cf1159ae45fa40b16305c6154dc688a50196e5b2"),
+        (3, "ad9730ddd4a53352423bd6e3cdfd755a87fc86cc6ee644142dfa470b1a4494de"),
+    ])
+    def test_canonical_bytes_pinned(self, burma14, k, digest):
+        text = serialize_instance(generate_family(burma14, [1, 3], 2, 7)[k])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_fixture_file_is_its_own_serialization(self):
+        with open(data_path("threereq.instance")) as fh:
+            text = fh.read()
+        assert serialize_instance(parse_instance(text)) == text
 
     def test_missing_field(self):
         with pytest.raises(ParseError):
