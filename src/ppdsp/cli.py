@@ -4,11 +4,12 @@
 writes `name value` lines and an optional `# status <word>` line, and a
 solver with another answer format needs a wrapper script.
 
-Exit codes: 0 success, 2 input error, 3 verification failure (census
-mismatch, or a decoded solution with validator violations or an objective
-that differs from its recomputed value), 4 solver failure (crash, timeout,
-which stops the solver's whole process group, no solution file, an empty,
-unreadable or undecodable answer, or a declared Error or unknown status).
+Exit codes: 0 success, 2 input error (an unwritable output or a bad solver
+template among them), 3 verification failure (census mismatch, or a decoded
+solution with validator violations or an objective that differs from its
+recomputed value), 4 solver failure (crash, timeout, which stops the
+solver's whole process group, no solution file, an empty, unreadable or
+undecodable answer, or a declared Error or unknown status).
 """
 
 from __future__ import annotations
@@ -45,6 +46,14 @@ def _read_text(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}")
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}")
+
+
 def _read_sample(path: str) -> instgen.TsplibSample:
     text = _read_text(path)
     try:
@@ -66,7 +75,10 @@ def _adapter_from(template: str | None) -> harness.SolverAdapter | None:
     template = template or os.environ.get("PPDSP_SOLVER_CMD")
     if not template or template == "none":
         return None
-    return harness.SolverAdapter(command_template=template)
+    try:
+        return harness.SolverAdapter(command_template=template)
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
 def _time_limit(text: str) -> float:
@@ -118,26 +130,24 @@ def cmd_gen(args) -> int:
         family = instgen.generate_family(sample, k_list, args.m, args.seed)
     except (ValueError, instgen.PairingStalled) as exc:
         raise CliError(str(exc))
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot write {args.out}: {exc.strerror}")
     for k in sorted(k_list):
         instance = family[k]
         name = f"{sample.name}_k{_fmt_k(k)}_m{args.m}_s{args.seed}.instance"
         path = os.path.join(args.out, name)
-        with open(path, "w") as fh:
-            fh.write(instgen.serialize_instance(instance))
+        _write(path, instgen.serialize_instance(instance))
         print(f"k={_fmt_k(k)} n={instance.meta.n} -> {os.path.abspath(path)}")
     return EXIT_OK
 
 
 def cmd_build(args) -> int:
     instance = _read_instance(args.instance)
-    try:
-        encoding, counts = harness.encode_checked(
-            instance, harness.formulation(args.formulation))
-    except harness.CensusMismatch as exc:
-        raise CliError(str(exc), EXIT_VERIFY)
-    with open(args.lp, "w") as fh:
-        fh.write(emit_lp(encoding.model))
+    encoding, counts = harness.encode_checked(
+        instance, harness.formulation(args.formulation))
+    _write(args.lp, emit_lp(encoding.model))
     print(f"vars={counts[0]} rows={counts[1]}")
     return EXIT_OK
 
@@ -158,8 +168,7 @@ def cmd_solve(args) -> int:
         # a decoded solution failed a check; otherwise there was no usable answer
         return EXIT_VERIFY if outcome.solution is not None else EXIT_SOLVER
     if outcome.solution is not None and args.out:
-        with open(args.out, "w") as fh:
-            fh.write(solution_to_json(outcome.solution))
+        _write(args.out, solution_to_json(outcome.solution))
         print(f"solution -> {os.path.abspath(args.out)}")
     return EXIT_OK
 
@@ -170,7 +179,7 @@ def cmd_validate(args) -> int:
     try:
         report = validate_solution(solution, instance)
         value = xi(solution, instance)
-    except StructuralError as exc:  # a truck, request or node id unknown
+    except StructuralError as exc:  # an unknown id, or a truck with two plans
         raise CliError(f"bad solution file: {exc}")
     print(f"xi={value:g}")
     if report.ok:
@@ -206,14 +215,11 @@ def cmd_bench(args) -> int:
                                 adapter, args.time_limit, args.seed)
     except ModelError:
         raise  # an encoder fault, not bad input
-    except harness.CensusMismatch as exc:
-        raise CliError(str(exc), EXIT_VERIFY)
     except (ValueError, instgen.PairingStalled) as exc:
         raise CliError(str(exc))
     csv_text = harness.records_to_csv(records)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(csv_text)
+        _write(args.csv, csv_text)
         print(f"csv -> {os.path.abspath(args.csv)}")
     else:
         sys.stdout.write(csv_text)
@@ -228,8 +234,7 @@ def cmd_report(args) -> int:
     except ValueError as exc:
         raise CliError(f"{args.csv}: {exc}")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
         print(f"report -> {os.path.abspath(args.out)}")
     else:
         sys.stdout.write(text)
@@ -297,9 +302,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, harness.CensusMismatch) as exc:  # the latter from any encode
         print(str(exc), file=sys.stderr)
-        return exc.code
+        return exc.code if isinstance(exc, CliError) else EXIT_VERIFY
 
 
 if __name__ == "__main__":

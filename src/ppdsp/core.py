@@ -274,11 +274,16 @@ def validate_route(truck: Truck, delivery: frozenset[int] | set[int],
 
 
 def validate_solution(solution: DeliveryRoutingSolution, instance: Instance) -> ValidationReport:
-    """Aggregate per-truck checks plus the disjoint-partition check."""
+    """Aggregate per-truck checks plus the disjoint-partition check; a truck
+    given two plans is a StructuralError."""
     violations: list[Violation] = []
     assigned: set[int] = set()
+    planned: set[int] = set()
     for plan in solution.plans:
         truck = instance.truck_by_id(plan.truck_id)
+        if plan.truck_id in planned:
+            raise StructuralError(f"truck {plan.truck_id} has two plans")
+        planned.add(plan.truck_id)
         for rid in sorted(plan.delivery):
             instance.request_by_id(rid)
             if rid in assigned:

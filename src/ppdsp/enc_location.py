@@ -9,7 +9,7 @@ u is integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
 
 from .core import DeliveryRoutingSolution, Instance, TruckPlan
 from .mipir import MipModel, ModelBuilder, Sense, VarKind, place
@@ -50,6 +50,18 @@ def predicted_counts_location(num_nodes: int, n: int, m: int) -> tuple[int, int]
     return variables, rows
 
 
+def arc_layout(size: int) -> tuple[list[str], list[list[int]], list[list[int]]]:
+    """One truck's x family over the complete digraph on nodes 0..size-1:
+    x_t{t}_o{o}_d{d} sits at offset o*size + d. Returns each arc's name
+    suffix in offset order, and per node the offsets of the arcs leaving
+    it and of those entering it, self arcs left out."""
+    nodes = range(size)
+    suffix = [f"_o{o}_d{d}" for o in nodes for d in nodes]
+    out_of = [[o * size + d for d in nodes if d != o] for o in nodes]
+    into = [[o * size + d for o in nodes if o != d] for d in nodes]
+    return suffix, out_of, into
+
+
 # variable families, in declaration order; a term (family F, offset k) of a
 # row layout is column bases[F] + k of the truck the row belongs to
 X, Y, U, H = range(4)
@@ -61,20 +73,16 @@ def encode_location(instance: Instance) -> LocationEncoding:
     requests = instance.requests
     n = len(requests)
     nodes = range(nv)
-    # x_t{t}_o{o}_d{d} sits at offset o*nv + d of its truck's x family
-    arcs = [(o, d) for o in nodes for d in nodes]
-    arc_suffix = [f"_o{o}_d{d}" for o, d in arcs]
+    arc_suffix, out_of, into = arc_layout(nv)
     # ordered pairs of distinct non-depot nodes: the index set of c8 and c10
     pairs = [(o, d) for o in range(1, nv) for d in range(1, nv) if o != d]
-    pair_suffix = [f"_o{o}_d{d}" for o, d in pairs]
+    pair_suffix = [arc_suffix[o * nv + d] for o, d in pairs]
     k = len(pairs)
-    out_of = [[o * nv + d for d in nodes if d != o] for o in nodes]
-    into = [[o * nv + d for o in nodes if o != d] for d in nodes]
     b = ModelBuilder()
 
     # objective: payments on y minus arc costs on x; diagonal arcs fixed to 0
     bases = {t.id: [0, 0, 0, 0] for t in trucks}
-    x_upper = [0.0 if o == d else 1.0 for o, d in arcs]
+    x_upper = [float(o != d) for o in nodes for d in nodes]
     for t in trucks:
         x_prefix = f"x_t{t.id}"  # x_name(t.id, o, d) == x_prefix + arc_suffix
         bases[t.id][X] = b.add_variables(
@@ -145,31 +153,22 @@ def encode_location(instance: Instance) -> LocationEncoding:
     gamma_coefs = [[-float(r.q) for r in requests if r.pickup == d]
                    + [float(r.q) for r in requests if r.dropoff == d]
                    for d in nodes]
-    # c10a and c10b share their terms; the big-M coefficient that ends each
-    # row is left 0 in the layout and set per truck
-    offsets, families, coef_layout, lengths = [], [], [], []
+    # c10a and c10b share their terms; each row ends in its big-M coefficient
+    offsets, families, lengths = [], [], []
     for o, d in pairs:
         row_offsets = [d, o] + gamma_of[d] + [o * nv + d]
-        row_families = [H, H] + [Y] * len(gamma_of[d]) + [X]
-        row_coefs = [1.0, -1.0] + gamma_coefs[d] + [0.0]
-        for _ in range(2):  # c10a, then c10b
-            offsets += row_offsets
-            families += row_families
-            coef_layout += row_coefs
-            lengths.append(len(row_offsets))
-    big_m_at = [end - 1 for end in accumulate(lengths)]
+        offsets += row_offsets * 2  # c10a, then c10b
+        families += ([H, H] + [Y] * len(gamma_of[d]) + [X]) * 2
+        lengths += [len(row_offsets)] * 2
     total_volume = sum(r.q for r in requests)
     for t in trucks:
         big_m = float(t.capacity + total_volume)
-        coefs = coef_layout.copy()
-        for at in big_m_at[0::2]:
-            coefs[at] = big_m
-        for at in big_m_at[1::2]:
-            coefs[at] = -big_m
         prefixes = (f"c10a_t{t.id}", f"c10b_t{t.id}")
         b.add_rows([prefix + suffix for suffix in pair_suffix for prefix in prefixes],
                    [Sense.LE, Sense.GE] * k, [big_m, -big_m] * k, lengths,
-                   place(offsets, families, bases[t.id]), coefs)
+                   place(offsets, families, bases[t.id]),
+                   [c for _, d in pairs for end in (big_m, -big_m)
+                    for c in (1.0, -1.0, *gamma_coefs[d], end)])
     return LocationEncoding(model=b.build(), instance=instance)
 
 
@@ -230,11 +229,8 @@ def decode_location(encoding: LocationEncoding,
             r.id for r in instance.requests
             if _as_bit(y_name(t.id, r.id), assignment.get(y_name(t.id, r.id), 0.0)))
         successor = arc_successors(t.id, nv, assignment)
-        if not successor:
-            if delivery:
-                raise DecodeError(f"truck {t.id}: requests assigned but no arcs")
-            plans.append(TruckPlan(truck_id=t.id, delivery=delivery, route=()))
-            continue
-        plans.append(TruckPlan(truck_id=t.id, delivery=delivery,
-                               route=walk(t.id, successor, 0, 0)))
+        if not successor and delivery:
+            raise DecodeError(f"truck {t.id}: requests assigned but no arcs")
+        route = walk(t.id, successor, 0, 0) if successor else ()
+        plans.append(TruckPlan(truck_id=t.id, delivery=delivery, route=route))
     return DeliveryRoutingSolution(plans=tuple(plans))

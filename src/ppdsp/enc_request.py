@@ -17,8 +17,8 @@ from operator import sub
 from .core import DeliveryRoutingSolution, Instance, TruckPlan
 # the variable names, the decode steps and DecodeError are those of the
 # location model; callers may import DecodeError and x_name from either module
-from .enc_location import (DecodeError, arc_successors, h_name, u_name, walk,
-                           x_name)
+from .enc_location import (DecodeError, arc_layout, arc_successors, h_name,
+                           u_name, walk, x_name)
 from .mipir import MipModel, ModelBuilder, Sense, VarKind, place
 
 
@@ -49,18 +49,12 @@ class RequestGraphMap:
 
 
 def build_graph_map(instance: Instance) -> RequestGraphMap:
-    n = len(instance.requests)
-    location_of = [0] * (2 * n + 2)
-    volume_of = [0] * (2 * n + 2)
-    for r in instance.requests:
-        location_of[r.id + 1] = r.pickup
-        volume_of[r.id + 1] = r.q
-        location_of[r.id + 1 + n] = r.dropoff
-        volume_of[r.id + 1 + n] = -r.q
-    location_of[0] = 0
-    location_of[2 * n + 1] = 0
-    return RequestGraphMap(num_requests=n, location_of=tuple(location_of),
-                           volume_of=tuple(volume_of))
+    requests = instance.requests  # in id order, so node r.id + 1 is r's pickup
+    return RequestGraphMap(
+        num_requests=len(requests),
+        location_of=(0, *(r.pickup for r in requests),
+                     *(r.dropoff for r in requests), 0),
+        volume_of=(0, *(r.q for r in requests), *(-r.q for r in requests), 0))
 
 
 @dataclass(frozen=True)
@@ -81,19 +75,9 @@ def predicted_counts_request(n: int, m: int) -> tuple[int, int]:
 def _fixed_to_zero(gmap: RequestGraphMap, o: int, d: int) -> bool:
     """Speed-up variable fixings: self arcs, depot shortcuts, returns to the
     start depot and departures from the end depot."""
-    n = gmap.num_requests
-    end = 2 * n + 1
-    if o == d:
-        return True
-    if o == 0 and gmap.is_dropoff(d):
-        return True
-    if gmap.is_pickup(o) and d == end:
-        return True
-    if d == 0 and (gmap.is_pickup(o) or gmap.is_dropoff(o)):
-        return True
-    if o == end and (gmap.is_pickup(d) or gmap.is_dropoff(d)):
-        return True
-    return False
+    end = 2 * gmap.num_requests + 1  # pickups and dropoffs lie strictly between
+    return (o == d or (o == 0 and gmap.is_dropoff(d)) or (gmap.is_pickup(o) and d == end)
+            or (d == 0 and 0 < o < end) or (o == end and 0 < d < end))
 
 
 # variable families, in declaration order; a term (family F, offset k) of a
@@ -109,23 +93,18 @@ def encode_request(instance: Instance) -> RequestEncoding:
     trucks = instance.trucks
     m = len(trucks)
     nodes = range(nn)
-    # x_t{t}_o{o}_d{d} sits at offset o*nn + d of its truck's x family
+    arc_suffix, out_of, into = arc_layout(nn)
     arcs = [(o, d) for o in nodes for d in nodes]
-    arc_suffix = [f"_o{o}_d{d}" for o, d in arcs]
     # ordered pairs of distinct nodes: the index set of ca7 and ca9
     pairs = [(o, d) for o, d in arcs if o != d]
-    pair_suffix = [f"_o{o}_d{d}" for o, d in pairs]
+    pair_suffix = [arc_suffix[o * nn + d] for o, d in pairs]
     k = len(pairs)
-    out_of = [[o * nn + d for d in nodes if d != o] for o in nodes]
-    into = [[o * nn + d for o in nodes if o != d] for d in nodes]
     b = ModelBuilder()
 
     # nodes whose load change alone overflows a truck are unreachable for it;
     # barring the arcs keeps the verbatim load bounds from emptying out
-    def unreachable(t, v: int) -> bool:
-        return abs(gmap.volume_of[v]) > t.capacity
-
-    barred = {t.id: [unreachable(t, v) for v in nodes] for t in trucks}
+    volume_of = gmap.volume_of
+    barred = {t.id: [abs(volume) > t.capacity for volume in volume_of] for t in trucks}
     fixed = [_fixed_to_zero(gmap, o, d) for o, d in arcs]
     x_upper = [0.0 if fix else 1.0 for fix in fixed]
     # payment is collected on departure from a pickup node, merged into the
@@ -155,7 +134,6 @@ def encode_request(instance: Instance) -> RequestEncoding:
         bases[t.id][U] = b.add_variables(
             [u_name(t.id, v) for v in nodes], VarKind.INTEGER,
             [0.0] * nn, [nn - 1] * nn, [0.0] * nn)
-    volume_of = gmap.volume_of
     for t in trucks:
         bar_t = barred[t.id]
         bases[t.id][H] = b.add_variables(

@@ -12,6 +12,7 @@ import itertools
 import os
 import shlex
 import signal
+import string
 import subprocess
 import tempfile
 import time
@@ -58,16 +59,26 @@ class SolverAdapter:
     """Subprocess solver boundary.
 
     command_template placeholders: {model_path}, {solution_path},
-    {time_limit_s}. The solver writes `name value` lines and an optional
-    `# status <word>` line; a solver with another format needs a wrapper
-    script that rewrites its answer.
+    {time_limit_s}; a literal brace is written {{ or }}. The solver writes
+    `name value` lines and an optional `# status <word>` line; a solver with
+    another format needs a wrapper script that rewrites its answer.
     """
 
     command_template: str
     workdir: Optional[str] = None
 
     def __post_init__(self):
-        if "{model_path}" not in self.command_template:
+        try:  # an unbalanced brace is a ValueError
+            fields = {field for _, field, _, _ in
+                      string.Formatter().parse(self.command_template) if field is not None}
+        except ValueError as exc:
+            raise ValueError(f"command template {self.command_template!r}: {exc}") from None
+        unknown = sorted(fields - {"model_path", "solution_path", "time_limit_s"})
+        if unknown:
+            raise ValueError(f"command template field {{{unknown[0]}}} is not one of "
+                             "{model_path}, {solution_path}, {time_limit_s} "
+                             "(a literal brace is written {{ or }})")
+        if "model_path" not in fields:
             raise ValueError("command template must contain {model_path}")
 
 
@@ -440,11 +451,13 @@ def encode_checked(instance: Instance, form: Formulation):
 
 def solve(instance: Instance, formulation: str, adapter: SolverAdapter,
           time_limit_s: float = 600.0) -> SolveOutcome:
-    """Encode, emit, run the external solver, decode, validate, and
-    cross-check the objective against the recomputed profit-cost value."""
+    """Encode and check the census (CensusMismatch), emit, run the external
+    solver, decode, validate, and cross-check the objective against the
+    recomputed profit-cost value."""
     start = time.monotonic()
     form = _formulation(formulation)
-    return _solve_encoding(form, form.encode(instance), adapter, time_limit_s, start)
+    encoding, _ = encode_checked(instance, form)
+    return _solve_encoding(form, encoding, adapter, time_limit_s, start)
 
 
 def _solve_encoding(form: Formulation, encoding, adapter: SolverAdapter,

@@ -149,6 +149,14 @@ class TestSolveValidate:
         assert "status=Error" in captured.out
         assert "solver exited with 3: no licence" in captured.err
 
+    def test_solve_census_mismatch(self, golden_path, monkeypatch, capsys):
+        # refused after encoding, before the solver runs
+        monkeypatch.setattr(enc_location, "predicted_counts_location",
+                            lambda num_nodes, n, m: (0, 0))
+        assert main(["solve", "--instance", golden_path, "--formulation", "loc",
+                     "--solver", "true {model_path}"]) == 3
+        one_reason_line(capsys, "census (50, 73) disagrees with predicted (0, 0)")
+
 
 class TestOracleCmd:
     def test_golden(self, golden_path, capsys):
@@ -467,6 +475,48 @@ class TestInputErrors:
         sol.write_text(json.dumps({"plans": [plan]}))
         assert main(["validate", "--instance", golden_path, "--solution", str(sol)]) == 2
         one_reason_line(capsys, f"bad solution file: {reason}")
+
+    def test_solution_gives_one_truck_two_plans(self, golden_path, tmp_path, capsys):
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps({"plans": [
+            {"truck": 0, "delivery": [0], "route": [0, 1, 3, 0]},
+            {"truck": 0, "delivery": [2], "route": [0, 2, 3, 0]}]}))
+        assert main(["validate", "--instance", golden_path, "--solution", str(sol)]) == 2
+        one_reason_line(capsys, "bad solution file: truck 0 has two plans")
+
+    @pytest.mark.parametrize("template, reason", [
+        ("mysolver", "command template must contain {model_path}"),
+        ("echo {model_path} {oops}", "command template field {oops} is not one of"),
+        ("awk '{print}' {model_path}", "command template field {print} is not one of"),
+    ], ids=["no-model-path", "unknown-field", "literal-braces"])
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_bad_solver_template(self, template, reason, command, golden_path, capsys):
+        args = {"solve": ["--instance", golden_path, "--formulation", "loc"],
+                "bench": ["--tsplib", data_path("burma14.tsp"), "--k", "1",
+                          "--m", "2"]}[command]
+        assert main([command, *args, "--solver", template]) == 2
+        one_reason_line(capsys, reason)
+
+    @pytest.mark.parametrize("command", ["gen", "build", "solve", "bench", "report"])
+    def test_unwritable_output(self, command, golden_path, tmp_path, capsys):
+        csv_path = tmp_path / "bench.csv"
+        assert main(["bench", "--tsplib", data_path("burma14.tsp"), "--k", "1",
+                     "--m", "2", "--solver", "none", "--csv", str(csv_path)]) == 0
+        (tmp_path / "blocker").write_text("")  # a file, so nothing fits under it
+        out = str(tmp_path / "blocker" / "out")
+        args = {"gen": ["--tsplib", data_path("burma14.tsp"), "--k", "1", "--m", "2",
+                        "--seed", "0", "--out", out],
+                "build": ["--instance", golden_path, "--formulation", "loc",
+                          "--lp", out],
+                "solve": ["--instance", golden_path, "--formulation", "loc",
+                          "--solver", HIGHS_TEMPLATE, "--time-limit", "60",
+                          "--out", out],
+                "bench": ["--tsplib", data_path("burma14.tsp"), "--k", "1",
+                          "--m", "2", "--solver", "none", "--csv", out],
+                "report": ["--csv", str(csv_path), "--out", out]}[command]
+        capsys.readouterr()
+        assert main([command, *args]) == 2
+        one_reason_line(capsys, f"cannot write {out}: Not a directory")
 
     def test_missing_solution_file(self, golden_path, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")

@@ -151,6 +151,14 @@ class TestValidateSolution:
             plan(1, {2}, (0, 2, 3, 0))))
         assert validate_solution(solution, golden_instance).ok
 
+    def test_one_truck_given_two_plans(self, golden_instance):
+        # each plan alone is clean, so only the repeated truck id can refuse it
+        solution = DeliveryRoutingSolution(plans=(
+            plan(0, {0}, (0, 1, 3, 0)),
+            plan(0, {2}, (0, 2, 3, 0))))
+        with pytest.raises(StructuralError, match="truck 0 has two plans"):
+            validate_solution(solution, golden_instance)
+
 
 class TestLoadProfile:
     def test_running_net_loads(self, golden_instance):
