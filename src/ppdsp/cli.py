@@ -15,9 +15,11 @@ undecodable answer, or a declared Error or unknown status).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
+import stat
 import sys
 
 from . import harness, instgen
@@ -52,6 +54,22 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror}")
+
+
+def _check_writable(path: str) -> None:
+    """Refuse, before any work and without creating anything, a path that
+    _write could not write: its directory is missing, not a directory or
+    not writable, or the path is itself a directory."""
+    directory = os.path.dirname(path) or os.curdir
+    try:
+        code = (errno.ENOTDIR if not stat.S_ISDIR(os.stat(directory).st_mode)
+                else errno.EISDIR if os.path.isdir(path)
+                else errno.EACCES if not os.access(directory, os.W_OK | os.X_OK)
+                else None)
+    except OSError as exc:
+        code = exc.errno
+    if code is not None:
+        raise CliError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _read_sample(path: str) -> instgen.TsplibSample:
@@ -153,6 +171,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.out:
+        _check_writable(args.out)
     instance = _read_instance(args.instance)
     adapter = _adapter_from(args.solver)
     if adapter is None:
@@ -206,6 +226,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.csv:
+        _check_writable(args.csv)
     samples = [_read_sample(p) for p in args.tsplib]
     k_list = _parse_list(args.k, float, "k")
     m_list = _parse_list(args.m, int, "m")

@@ -54,12 +54,19 @@ ORACLE_MAX_TRUCKS = 3
 ORACLE_MAX_NODES = 8
 
 
+# run_adapter's template fields, with values of the types it passes
+_STAND_INS = {"model_path": "model.lp", "solution_path": "solution.sol",
+              "time_limit_s": 600.0}
+
+
 @dataclass(frozen=True)
 class SolverAdapter:
     """Subprocess solver boundary.
 
     command_template placeholders: {model_path}, {solution_path},
-    {time_limit_s}; a literal brace is written {{ or }}. The solver writes
+    {time_limit_s}; a literal brace is written {{ or }}. A conversion or
+    format spec must suit the value: each path is a str, the time limit a
+    float. The solver writes
     `name value` lines and an optional `# status <word>` line; a solver with
     another format needs a wrapper script that rewrites its answer.
     """
@@ -68,12 +75,18 @@ class SolverAdapter:
     workdir: Optional[str] = None
 
     def __post_init__(self):
-        try:  # an unbalanced brace is a ValueError
+        # an unbalanced brace is a ValueError, and so is a conversion or
+        # format spec that str.format refuses for run_adapter's values, here
+        # tried once with stand-ins of their types (a spec nesting an unknown
+        # field raises a LookupError)
+        try:
             fields = {field for _, field, _, _ in
                       string.Formatter().parse(self.command_template) if field is not None}
-        except ValueError as exc:
+            unknown = sorted(fields - set(_STAND_INS))
+            if not unknown:
+                self.command_template.format(**_STAND_INS)
+        except (ValueError, LookupError) as exc:
             raise ValueError(f"command template {self.command_template!r}: {exc}") from None
-        unknown = sorted(fields - {"model_path", "solution_path", "time_limit_s"})
         if unknown:
             raise ValueError(f"command template field {{{unknown[0]}}} is not one of "
                              "{model_path}, {solution_path}, {time_limit_s} "

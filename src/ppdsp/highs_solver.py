@@ -32,6 +32,7 @@ import gc
 import importlib.machinery
 import importlib.util
 import os
+import re
 import sys
 from itertools import chain
 from math import inf, isnan
@@ -40,28 +41,41 @@ SECTIONS = ("maximize", "minimize", "subject to", "bounds", "generals",
             "binaries", "end")
 # str.lower() never shortens a string, so a longer line is not a header
 _LONGEST_SECTION = max(map(len, SECTIONS))
+# the sections that list names, read from their spans of the text
+_NAME_LISTS = ("generals", "binaries")
+# a non-empty line, as str.splitlines() ends lines
+_LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]+")
 
 
 class LpParseError(ValueError):
     pass
 
 
-def _split_sections(text: str) -> dict[str, list[str]]:
+def _split_sections(text: str) -> dict[str, list]:
     """Each section's lines, unstripped: a stripped copy of every line would
-    hold the LP text a second time."""
-    sections: dict[str, list[str]] = {}
+    hold the LP text a second time. A name-list section (Generals, Binaries)
+    is given instead as the (begin, end) spans of the text that hold it, one
+    per header, so that its lines are not held while the rows are read."""
+    sections: dict[str, list] = {}
     current = None
-    for line in text.splitlines():
+    begin = end = 0
+    for line in text.splitlines(keepends=True):
+        start, end = end, end + len(line)
         stripped = line.strip()
         if not stripped or stripped[0] == "\\":
             continue
         if len(stripped) <= _LONGEST_SECTION and (low := stripped.lower()) in SECTIONS:
-            current = low
+            if current in _NAME_LISTS:
+                sections[current].append((begin, start))
+            current, begin = low, end
             sections.setdefault(current, [])
             continue
         if current is None:
             raise LpParseError(f"content before first section: {stripped!r}")
-        sections[current].append(line)
+        if current not in _NAME_LISTS:
+            sections[current].append(line)
+    if current in _NAME_LISTS:
+        sections[current].append((begin, end))
     return sections
 
 
@@ -104,8 +118,10 @@ def parse_lp(text: str):
 
     The parse lets go of the objective's lines once its terms are built, and
     of each constraint line, in file order, once its row is built, so the
-    lines and the rows made from them are not all held at once. A file with
-    several faults still reports the first one in file order."""
+    lines and the rows made from them are not all held at once. The Generals
+    and Binaries names are read last, one line at a time from their spans
+    of the text, so their lines are never all held. A file with several
+    faults still reports the first one in file order."""
     sections = _split_sections(text)
     if "maximize" in sections:
         sense = "max"
@@ -218,10 +234,19 @@ def parse_lp(text: str):
         if collecting:
             gc.enable()
 
-    integers = [names.setdefault(t, t) for line in sections.get("generals", [])
-                for t in line.split()]
-    binaries = [names.setdefault(t, t) for line in sections.get("binaries", [])
-                for t in line.split()]
+    def read_names(spans: list[tuple[int, int]]) -> list[str]:
+        """The names listed in a section's spans of the text, read one line
+        at a time, blank and comment lines skipped; each is the str first
+        read for it."""
+        lines = chain.from_iterable(_LINE.finditer(text, begin, end)
+                                    for begin, end in spans)
+        return [names.setdefault(tok, tok)
+                for tokens in map(str.split, map(re.Match.group, lines))
+                if tokens and tokens[0][0] != "\\"
+                for tok in tokens]
+
+    integers = read_names(sections.get("generals", []))
+    binaries = read_names(sections.get("binaries", []))
     return sense, objective, rows, bounds, integers, binaries
 
 

@@ -1,13 +1,18 @@
 """Solver-agnostic mixed-integer model: variables, linear rows, LP text.
 
-A model is held in columns: one list per variable attribute, and the rows
-as compressed sparse rows (row offsets into column-index and coefficient
-lists). Encoders fill whole families of variables and rows at once through
-ModelBuilder.add_variables and add_rows, which refer to variables by column
-index; place lays out the column indices of a row family. The model is
-validated once, when it is built.
+A model is held in columns: one sequence per variable attribute, and the
+rows as compressed sparse rows (row offsets into column-index and
+coefficient sequences). Encoders fill whole families of variables and rows
+at once through ModelBuilder.add_variables and add_rows, which refer to
+variables by column index; place lays out the column indices of a row
+family. The model is validated once, when it is built.
 
-Models are not changed once built (nothing writes to a model's lists);
+ModelBuilder keeps the row offsets and column indices as array('i') and the
+objective as array('d'): these hold one distinct number per entry, which a
+list would keep as one Python object each. The other columns stay lists,
+whose entries repeat a few shared objects.
+
+Models are not changed once built (nothing writes to a model's columns);
 emission and the census are pure, so a model can be shared freely across
 threads.
 """
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -66,21 +72,21 @@ class MipModel:
     Variable j is names[j], of kind kinds[j], within [lowers[j], uppers[j]],
     with objective coefficient objective[j]. Row i is row_names[i]: the sum
     of coefs[k] times variable cols[k] over k in row_start[i]:row_start[i+1],
-    compared by senses[i] with rhs[i]. A model that ModelBuilder built from
-    rows added after their variables holds one int object per column in
-    cols, shared by every term naming it.
+    compared by senses[i] with rhs[i]. ModelBuilder gives row_start and cols
+    as array('i') and objective as array('d'); a model given lists there is
+    checked, and refused, alike.
     """
 
     names: list[str]
     kinds: list[VarKind]
     lowers: list[float]
     uppers: list[float]
-    objective: list[float]
+    objective: Sequence[float]
     row_names: list[str]
     senses: list[Sense]
     rhs: list[float]
-    row_start: list[int]
-    cols: list[int]
+    row_start: Sequence[int]
+    cols: Sequence[int]
     coefs: list[float]
 
     def __post_init__(self):
@@ -156,8 +162,9 @@ class ModelBuilder:
     """Collects a model column by column; build() validates it once.
 
     add_variables and add_rows take one sequence per column and refer to
-    variables by column index. build() hands its lists over to the model
-    and starts an empty one.
+    variables by column index. build() hands its columns over to the model,
+    row_start and cols as array('i') and objective as array('d'), and
+    starts an empty one.
     """
 
     def __init__(self):
@@ -165,14 +172,13 @@ class ModelBuilder:
         self._kinds: list[VarKind] = []
         self._lowers: list[float] = []
         self._uppers: list[float] = []
-        self._objective: list[float] = []
+        self._objective = array("d")
         self._row_names: list[str] = []
         self._senses: list[Sense] = []
         self._rhs: list[float] = []
-        self._row_start: list[int] = [0]
-        self._cols: list[int] = []
+        self._row_start = array("i", [0])
+        self._cols = array("i")
         self._coefs: list[float] = []
-        self._columns: list[int] = []  # _columns[j] is j: the object cols holds
 
     def add_variables(self, names: Sequence[str], kind: VarKind,
                       lowers: Sequence[float], uppers: Sequence[float],
@@ -182,7 +188,6 @@ class ModelBuilder:
         if not len(names) == len(lowers) == len(uppers) == len(objective):
             raise ModelError("variable columns differ in length")
         first = len(self._names)
-        self._columns.extend(range(first, first + len(names)))
         self._names.extend(names)
         self._kinds.extend(repeat(kind, len(names)))
         self._lowers.extend(lowers)
@@ -195,19 +200,19 @@ class ModelBuilder:
                  cols: Iterable[int], coefs: Iterable[float]) -> None:
         """Row i takes the next lengths[i] entries of cols and coefs.
 
-        Terms are kept as given, zero coefficients included; a variable
-        repeated within a row is rejected by build(). When every entry of
-        cols names a column already added, cols holds one shared int object
-        per column, not one per term; otherwise its values are kept as
-        given, so that build() refuses an undeclared one.
+        Terms are kept as given, zero coefficients included; build()
+        refuses an undeclared variable or one repeated within a row. A
+        column index that array('i') cannot hold (too large, or not an int)
+        is refused here, and the rows are not added.
         """
         if not len(names) == len(senses) == len(rhs) == len(lengths):
             raise ModelError("row columns differ in length")
         end = self._row_start[-1]
-        cols = list(cols)
-        if cols and 0 <= min(cols) and max(cols) < len(self._columns):
-            cols = map(self._columns.__getitem__, cols)
-        self._cols.extend(cols)
+        try:
+            self._cols.extend(cols)
+        except (OverflowError, TypeError) as exc:
+            del self._cols[end:]
+            raise ModelError(f"column index out of range: {exc}") from None
         self._coefs.extend(coefs)
         if not len(self._cols) == len(self._coefs) == end + sum(lengths):
             del self._cols[end:], self._coefs[end:]

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from conftest import data_path
-from ppdsp import enc_location, instgen
+from ppdsp import enc_location, harness, instgen
 from ppdsp.cli import main
 from ppdsp.enc_request import predicted_counts_request
 from ppdsp.instgen import serialize_instance
@@ -488,7 +488,10 @@ class TestInputErrors:
         ("mysolver", "command template must contain {model_path}"),
         ("echo {model_path} {oops}", "command template field {oops} is not one of"),
         ("awk '{print}' {model_path}", "command template field {print} is not one of"),
-    ], ids=["no-model-path", "unknown-field", "literal-braces"])
+        ("true {model_path} {time_limit_s:d}", "Unknown format code 'd'"),
+        ("true {model_path!x}", "Unknown conversion specifier x"),
+    ], ids=["no-model-path", "unknown-field", "literal-braces", "format-spec",
+            "conversion"])
     @pytest.mark.parametrize("command", ["solve", "bench"])
     def test_bad_solver_template(self, template, reason, command, golden_path, capsys):
         args = {"solve": ["--instance", golden_path, "--formulation", "loc"],
@@ -498,7 +501,7 @@ class TestInputErrors:
         one_reason_line(capsys, reason)
 
     @pytest.mark.parametrize("command", ["gen", "build", "solve", "bench", "report"])
-    def test_unwritable_output(self, command, golden_path, tmp_path, capsys):
+    def test_unwritable_output(self, command, golden_path, tmp_path, capsys, monkeypatch):
         csv_path = tmp_path / "bench.csv"
         assert main(["bench", "--tsplib", data_path("burma14.tsp"), "--k", "1",
                      "--m", "2", "--solver", "none", "--csv", str(csv_path)]) == 0
@@ -515,8 +518,24 @@ class TestInputErrors:
                           "--m", "2", "--solver", "none", "--csv", out],
                 "report": ["--csv", str(csv_path), "--out", out]}[command]
         capsys.readouterr()
+        cells = []  # solve --out and bench --csv are refused before any work
+        monkeypatch.setattr(harness, "_bench_cell", lambda *a: cells.append(a))
         assert main([command, *args]) == 2
-        one_reason_line(capsys, f"cannot write {out}: Not a directory")
+        printed = capsys.readouterr()
+        assert "status=" not in printed.out and cells == []
+        assert printed.err == f"cannot write {out}: Not a directory\n"
+
+    @pytest.mark.parametrize("where, reason", [
+        ("dir", "Is a directory"), ("missing/bench.csv", "No such file or directory")])
+    def test_bench_csv_path_checked_without_creating_it(self, where, reason, tmp_path,
+                                                         capsys, monkeypatch):
+        (tmp_path / "dir").mkdir()
+        out = str(tmp_path / where)
+        cells = []
+        monkeypatch.setattr(harness, "_bench_cell", lambda *a: cells.append(a))
+        assert main(self.bench_args("--m", "2", "--csv", out)) == 2
+        one_reason_line(capsys, f"cannot write {out}: {reason}")
+        assert cells == [] and sorted(os.listdir(tmp_path)) == ["dir"]
 
     def test_missing_solution_file(self, golden_path, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")

@@ -135,6 +135,13 @@ class TestAdapters:
         with pytest.raises(ValueError):
             SolverAdapter(command_template="mysolver")
 
+    @pytest.mark.parametrize("template", ["s {model_path:{oops}}", "s {model_path:{}}"])
+    def test_template_refused_when_its_spec_cannot_format(self, template):
+        # each nests a field in a format spec, which str.format resolves only
+        # when it formats the template
+        with pytest.raises(ValueError, match="command template 's "):
+            SolverAdapter(command_template=template)
+
     def test_run_adapter_round_trip(self, tmp_path):
         adapter = stub_adapter(tmp_path, "# status Optimal\nx1 1\n")
         text = run_adapter(adapter, "Maximize\n obj: x1\nEnd\n", 10)

@@ -198,6 +198,21 @@ class TestSharedTokens:
         # each '- 3' reads as one negated float
         assert objective[1][1] is c2[2][1] is c3[1][1]
 
+    def test_name_lists_read_from_the_text(self):
+        # Generals and Binaries over several lines, a comment and a blank
+        # line inside them, and Binaries given twice
+        lp = ("Maximize\n obj: x1 + y1\nSubject To\n c1: x1 + y1 + z1 + w1 <= 2\n"
+              "Generals\n y1\n\\ z0 is a comment\n\n z1  w1\n"
+              "Binaries\n x1\n  \\ x0 too\r\n\n v1\n"
+              "Bounds\n 0 <= z1 <= 3\nBinaries\n\n u1 x2\nEnd\n")
+        _, objective, rows, bounds, integers, binaries = parse_lp(lp)
+        assert integers == ["y1", "z1", "w1"]
+        assert binaries == ["x1", "v1", "u1", "x2"]
+        x, y, z, w = (name for name, _ in rows[0][1])
+        assert integers[0] is y and integers[1] is z and integers[2] is w
+        assert binaries[0] is x and objective[0][0] is x
+        assert next(iter(bounds)) is z
+
 
 class TestMalformedRows:
     @pytest.mark.parametrize("row", [

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from array import array
 from itertools import accumulate
 
 import pytest
@@ -247,17 +248,6 @@ class TestBuildValidation:
         with pytest.raises(ModelError, match="row r references undeclared"):
             b.build()
 
-    def test_one_int_object_per_column(self):
-        # place() adds a base to an offset, a new int for every term above
-        # the interpreter's cached small ints; the model keeps one per column
-        b = ModelBuilder()
-        first = add_free(b, *(f"v{j}" for j in range(300)))
-        add_unit_rows(b, ["r0", "r1", "r2"], [2, 1, 2],
-                      list(place([299, 0, 299, 0, 299], [0], [first])))
-        model = b.build()
-        assert model.cols == [299, 0, 299, 0, 299]
-        assert model.cols[0] is model.cols[2] is model.cols[4]
-
     def test_bulk_lengths_must_cover_the_terms(self):
         b = self.builder()
         with pytest.raises(ModelError):
@@ -272,7 +262,7 @@ class TestBuildValidation:
         bulk.add_variables(["h"], VarKind.CONTINUOUS, [1.0], [6.0], [0.0])
         bases = [first, first + 2]  # family 0: x1, x2; family 1: u, h
         cols = list(place([0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 1, 1], bases))
-        assert cols == tiny_model().cols == [0, 1, 2, 0, 3, 2]
+        assert cols == list(tiny_model().cols) == [0, 1, 2, 0, 3, 2]
         bulk.add_rows(["r1", "r2", "r3"], [Sense.LE, Sense.GE, Sense.EQ],
                       [1.0, -4.0, 1.0], [2, 2, 2], cols,
                       [1.0, 1.0, 1.0, -5.0, 1.0, -1.0])
@@ -356,11 +346,65 @@ class TestRowChecks:
                       [j for terms in rows for j in terms])
         expected = reference_refusal(names, row_names, rows)
         if expected is None:
-            assert b.build().cols == [j for terms in rows for j in terms]
+            assert list(b.build().cols) == [j for terms in rows for j in terms]
         else:
             with pytest.raises(ModelError) as refused:
                 b.build()
             assert str(refused.value) == expected
+
+
+def refusal(construct) -> str | None:
+    """The message of the ModelError that construct() raises, or None."""
+    try:
+        construct()
+    except ModelError as exc:
+        return str(exc)
+    return None
+
+
+class TestArrayColumns:
+    """ModelBuilder keeps row_start and cols as array('i') and objective as
+    array('d'); MipModel checks them as it checks lists."""
+
+    def test_build_gives_typed_arrays(self):
+        model = tiny_model()
+        assert (model.row_start.typecode, model.cols.typecode,
+                model.objective.typecode) == ("i", "i", "d")
+        assert list(model.row_start) == [0, 2, 4, 6]
+        assert list(model.cols) == [0, 1, 2, 0, 3, 2]
+        assert list(model.objective) == [3.0, -2.5, 0.0, 0.0]
+
+    @pytest.mark.parametrize("bad", [2 ** 31, -2 ** 31 - 1, 2 ** 70, 1.5],
+                             ids=["above", "below", "far-above", "not-an-int"])
+    def test_index_the_array_cannot_hold_is_refused_and_rolled_back(self, bad):
+        b = ModelBuilder()
+        add_free(b, "x", "y")
+        add_unit_rows(b, ["r0"], [2], [0, 1])
+        with pytest.raises(ModelError, match="column index out of range"):
+            add_unit_rows(b, ["r1", "r2"], [1, 2], [1, 0, bad])
+        add_unit_rows(b, ["r3"], [1], [1])
+        model = b.build()
+        assert model.row_names == ["r0", "r3"]
+        assert list(model.row_start) == [0, 2, 3]
+        assert list(model.cols) == [0, 1, 1]
+
+    @given(row_runs(), st.sampled_from([0.0, math.nan, POS_INF, NEG_INF]))
+    @settings(max_examples=200, deadline=None)
+    def test_arrays_refused_exactly_as_lists(self, case, last_objective):
+        num_vars, rows = case
+        cols = [j for terms in rows for j in terms]
+        objective = [1.0] * (num_vars - 1) + [last_objective]
+        columns = dict(
+            names=[f"v{j}" for j in range(num_vars)],
+            kinds=[VarKind.CONTINUOUS] * num_vars, lowers=[0.0] * num_vars,
+            uppers=[1.0] * num_vars, objective=objective,
+            row_names=[f"r{i}" for i in range(len(rows))],
+            senses=[Sense.LE] * len(rows), rhs=[0.0] * len(rows),
+            row_start=list(accumulate(map(len, rows), initial=0)),
+            cols=cols, coefs=[1.0] * len(cols))
+        typed = dict(columns, row_start=array("i", columns["row_start"]),
+                     cols=array("i", cols), objective=array("d", objective))
+        assert refusal(lambda: MipModel(**typed)) == refusal(lambda: MipModel(**columns))
 
 
 class TestEmitLp:
