@@ -15,10 +15,8 @@ from itertools import chain, groupby
 from operator import sub
 
 from .core import DeliveryRoutingSolution, Instance, TruckPlan
-# the variable names, the decode steps and DecodeError are those of the
-# location model; callers may import DecodeError and x_name from either module
-from .enc_location import (DecodeError, arc_layout, arc_successors, h_name,
-                           u_name, walk, x_name)
+# the variable names and the decode steps are those of the location model
+from .enc_location import arc_layout, arc_successors, h_name, u_name, walk
 from .mipir import MipModel, ModelBuilder, Sense, VarKind, place
 
 

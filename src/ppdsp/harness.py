@@ -17,7 +17,7 @@ import subprocess
 import tempfile
 import time
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 from . import enc_location, enc_request
@@ -501,8 +501,7 @@ def _solve_encoding(form: Formulation, encoding, adapter: SolverAdapter,
 
 # --- benchmark grid -------------------------------------------------------
 
-CSV_HEADER = ["sample", "k", "m", "n", "formulation", "num_vars", "num_rows",
-              "status", "objective", "wall_time_s", "seed"]
+CSV_HEADER = [field.name for field in fields(BenchRecord)]
 
 
 def _bench_cell(instance: Instance, form: Formulation,

@@ -246,45 +246,32 @@ def _num(x: float) -> str:
     return repr(x)
 
 
-def _next_text(coef: float) -> str:
-    """What precedes a variable's name as a later term of an expression."""
+def _term_text(coef: float) -> str:
+    """What precedes a variable's name as a later term of an expression; a
+    first term drops the "+ ", and a "- " stays."""
     sign = "+" if coef >= 0 else "-"
     mag = abs(coef)
     return f"{sign} {_num(mag)} " if mag != 1 else f"{sign} "
 
 
-def _term_texts(coefs: Sequence[float], term_names: Sequence[str],
-                firsts: Iterable[int], lead: dict[float, str],
-                later: dict[float, str]) -> list[str]:
-    """Each term's text, from the per-coefficient texts: every term written
-    as a later term, then the term at each index in firsts as a first."""
-    texts = list(map(add, map(later.__getitem__, coefs), term_names))
-    for s in firsts:
-        texts[s] = lead[coefs[s]] + term_names[s]
-    return texts
-
-
 def emit_lp(model: MipModel) -> str:
     """CPLEX-LP format text, byte-identical for identical models."""
-    names, objective, coefs, row_start = (model.names, model.objective,
-                                          model.coefs, model.row_start)
-    distinct = {*coefs, *objective}
-    later = {coef: _next_text(coef) for coef in distinct}
-    # a first term's text is its later text without the "+ "; a "- " stays
-    lead = {coef: text.removeprefix("+ ") for coef, text in later.items()}
+    names, objective, row_start = model.names, model.objective, model.row_start
+    term_text = {coef: _term_text(coef) for coef in {*model.coefs, *objective}}
     nonzero = list(map(ne, objective, repeat(0.0)))
     if any(nonzero):
-        obj_line = " obj: " + " ".join(_term_texts(
-            list(compress(objective, nonzero)), list(compress(names, nonzero)),
-            [0], lead, later))
+        obj_line = " obj: " + " ".join(map(
+            add, map(term_text.__getitem__, compress(objective, nonzero)),
+            compress(names, nonzero))).removeprefix("+ ")
     else:
         obj_line = " obj: 0 " + names[0] if names else " obj:"
     lines: list[str] = ["Maximize", obj_line, "Subject To"]
-    texts = _term_texts(coefs, list(map(names.__getitem__, model.cols)),
-                        row_start[:-1], lead, later)
+    texts = list(map(add, map(term_text.__getitem__, model.coefs),
+                     map(names.__getitem__, model.cols)))
     sense_text = {sense: sense.value for sense in Sense}
     rhs_text = {rhs: _num(rhs) for rhs in set(model.rhs)}
-    lines.extend(f" {name}: {' '.join(texts[s:e])} {sense_text[sense]} {rhs_text[rhs]}"
+    lines.extend(f" {name}: {' '.join(texts[s:e]).removeprefix('+ ')} "
+                 f"{sense_text[sense]} {rhs_text[rhs]}"
                  for name, s, e, sense, rhs in zip(model.row_names, row_start,
                                                    row_start[1:], model.senses,
                                                    model.rhs))

@@ -1,9 +1,9 @@
 import pytest
 
 from conftest import columns_of
-from ppdsp.enc_request import (DecodeError, build_graph_map, decode_request,
-                               encode_request, predicted_counts_request,
-                               x_name)
+from ppdsp.enc_location import DecodeError, x_name
+from ppdsp.enc_request import (build_graph_map, decode_request, encode_request,
+                               predicted_counts_request)
 from ppdsp.instgen import grid_instance
 from ppdsp.mipir import census, emit_lp
 

@@ -606,7 +606,7 @@ class TestBinding:
 
 
 class TestLazyPackage:
-    """The package's names load their submodule on first use, so the solver
+    """The package loads no submodule of its own accord, so the solver
     child, spawned once per solve, imports no encoder, harness or generator."""
 
     @staticmethod
@@ -626,11 +626,16 @@ class TestLazyPackage:
         assert loaded == "['ppdsp', 'ppdsp.highs_solver']"
         assert numpy_loaded == "False"  # and no solve loads it either
 
+    def test_package_import_loads_no_submodule(self):
+        assert self.fresh_python(
+            "import sys, ppdsp; "
+            "print(sorted(m for m in sys.modules if m.startswith('ppdsp')))") == "['ppdsp']"
+
     def test_package_names_and_submodules_import(self):
         assert self.fresh_python(
-            "from ppdsp import solve, oracle, MipModel; "
-            "from ppdsp import harness, mipir; "
-            "print(solve is harness.solve, MipModel is mipir.MipModel)") == "True True"
+            "import sys; from ppdsp import harness, mipir; "
+            "print(harness is sys.modules['ppdsp.harness'], "
+            "mipir is sys.modules['ppdsp.mipir'])") == "True True"
 
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):

@@ -1,13 +1,14 @@
 import dataclasses
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from array import array
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ppdsp
@@ -407,6 +408,54 @@ class TestArrayColumns:
         assert refusal(lambda: MipModel(**typed)) == refusal(lambda: MipModel(**columns))
 
 
+# each as a first and as a later term, in the objective and in rows
+EDGE_COEFS = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-7, -1e20]
+
+
+def lp_number(x: float) -> str:
+    return str(int(x)) if x == int(x) and abs(x) < 1e15 else repr(x)
+
+
+def reference_terms(pairs) -> str:
+    """An LP expression written one term at a time: a first term has no
+    '+ ', a later one is signed, and a coefficient of magnitude 1 is left
+    out."""
+    texts = []
+    for coef, name in pairs:
+        sign = "-" if coef < 0 else "+"
+        mag = "" if abs(coef) == 1 else lp_number(abs(coef)) + " "
+        texts.append(f"{sign} {mag}{name}" if texts or sign == "-" else mag + name)
+    return " ".join(texts)
+
+
+def reference_head(objective, rows) -> list[str]:
+    """The LP lines from Maximize to Subject To's last row: the objective's
+    nonzero terms, or its first variable times 0, and each row's terms."""
+    terms = [(coef, f"v{j}") for j, coef in enumerate(objective) if coef != 0]
+    obj = reference_terms(terms) if terms else "0 v0" if objective else ""
+    return ["Maximize", f" obj: {obj}".rstrip(), "Subject To",
+            *(f" r{i}: {reference_terms((c, f'v{j}') for j, c in terms)} "
+              f"{sense.value} {lp_number(rhs)}"
+              for i, (sense, rhs, terms) in enumerate(rows))]
+
+
+@st.composite
+def term_models(draw):
+    """(objective, rows): 0-8 variables whose objective coefficients are
+    edge values or any finite float, and rows (sense, rhs, terms) of
+    distinct columns with such coefficients."""
+    coef = st.one_of(st.sampled_from(EDGE_COEFS),
+                     st.floats(allow_nan=False, allow_infinity=False))
+    num_vars = draw(st.integers(0, 8))
+    objective = draw(st.lists(coef, min_size=num_vars, max_size=num_vars))
+    if not num_vars:
+        return objective, []
+    terms = st.lists(st.tuples(st.integers(0, num_vars - 1), coef), min_size=1,
+                     max_size=num_vars, unique_by=lambda term: term[0])
+    return objective, draw(st.lists(st.tuples(st.sampled_from(Sense), coef, terms),
+                                    max_size=5))
+
+
 class TestEmitLp:
     def test_golden_text(self):
         text = emit_lp(tiny_model())
@@ -461,6 +510,27 @@ class TestEmitLp:
             "Maximize\n obj: - 2 x + u\nSubject To\nBounds\n 0 <= u <= +inf\n"
             "Generals\n u\nBinaries\n x\nEnd\n")
 
+    @given(term_models())
+    @example(([], []))  # no variables
+    @example(([0.0, -0.0, 0.0],  # an all-zero objective
+              [(Sense.EQ, -0.0, [(2, -1.0), (0, 2.5)])]))
+    @example((EDGE_COEFS, []))  # no rows
+    @example((EDGE_COEFS, [  # each edge coefficient first, then the rest later
+        (Sense.LE, 1.0, [((i + k) % 8, EDGE_COEFS[(i + k) % 8]) for k in range(8)])
+        for i in range(8)]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_text_as_the_per_term_reference(self, case):
+        objective, rows = case
+        b = ModelBuilder()
+        b.add_variables([f"v{j}" for j in range(len(objective))], VarKind.CONTINUOUS,
+                        [0.0] * len(objective), [1.0] * len(objective), objective)
+        b.add_rows([f"r{i}" for i in range(len(rows))], [sense for sense, _, _ in rows],
+                   [rhs for _, rhs, _ in rows], [len(terms) for _, _, terms in rows],
+                   [j for _, _, terms in rows for j, _ in terms],
+                   [coef for _, _, terms in rows for _, coef in terms])
+        head, _, _ = emit_lp(b.build()).partition("\nBounds\n")
+        assert head == "\n".join(reference_head(objective, rows))
+
 
 class TestParseSolution:
     def test_reads_pairs_and_defaults(self):
@@ -513,9 +583,10 @@ def modules_loaded_by(statement: str, modules: list[str]) -> list[str]:
 def test_import_loads_no_numpy():
     # numpy costs about 0.1 s to import and 11 MB of resident memory; no
     # part of the package loads it (the solver reaches HiGHS through scipy's
-    # binding alone). The star import loads every submodule that the
-    # package's names come from.
-    assert modules_loaded_by("from ppdsp import *", ["numpy"]) == []
+    # binding alone)
+    submodules = [f"ppdsp.{module.name}" for module in pkgutil.iter_modules(ppdsp.__path__)]
+    assert "ppdsp.harness" in submodules
+    assert modules_loaded_by(f"import {', '.join(submodules)}", ["numpy"]) == []
 
 
 def test_harness_import_loads_no_thread_pool_or_logging():
