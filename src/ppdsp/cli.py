@@ -296,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact enumeration optimum (small instances)")
     p.add_argument("--instance", required=True)
-    p.add_argument("--semantics", default="location", choices=["location", "request"])
-    p.add_argument("--capacity-rule", default="strict", choices=["strict", "netted"])
+    p.add_argument("--semantics", default="location", choices=harness.SEMANTICS)
+    p.add_argument("--capacity-rule", default="strict", choices=harness.CAPACITY_RULES)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("bench", help="run the benchmark grid")

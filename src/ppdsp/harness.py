@@ -143,6 +143,10 @@ class BenchRecord:
 # load, which is exactly the feasible set of the location-based MIP's
 # load-propagation rows.
 
+SEMANTICS = ("location", "request")
+CAPACITY_RULES = ("strict", "netted")
+
+
 def _orderings(stops: list, before: dict, up: dict, down: dict, capacity: int,
                capacity_rule: str):
     """Every order of `stops` that places each stop after the stops in
@@ -184,26 +188,6 @@ def _stop_orders(instance: Instance, truck: Truck, delivery: tuple[int, ...],
                       truck.capacity, capacity_rule)
 
 
-def _route_cost(instance: Instance, truck: Truck, route: tuple[int, ...]) -> float:
-    cost = instance.arc_cost(truck, 0, route[0])
-    for o, d in zip(route, route[1:]):
-        cost += instance.arc_cost(truck, o, d)
-    return cost + instance.arc_cost(truck, route[-1], 0)
-
-
-def _best_route(instance: Instance, truck: Truck, orders, location_of: Callable
-                ) -> Optional[tuple[float, tuple[int, ...]]]:
-    """The least (route cost, route) over the stop orders. The cost runs over
-    every stop's location; in the route, consecutive stops at one location
-    are one physical stop."""
-    def scored(order):
-        locations = tuple(map(location_of, order))
-        return (_route_cost(instance, truck, locations),
-                tuple(v for v, _ in itertools.groupby(locations)))
-
-    return min(map(scored, orders), default=None)
-
-
 def _check_limits(instance: Instance) -> None:
     n = len(instance.requests)
     m = len(instance.trucks)
@@ -215,24 +199,51 @@ def _check_limits(instance: Instance) -> None:
             f"~{size} assignments)")
 
 
-def _assignments(instance: Instance):
-    """Every assignment of requests to a truck or to none, as the tuple of
-    request ids each truck delivers; the request -> truck-or-none vectors run
-    in lexicographic order, none sorting first."""
-    n = len(instance.requests)
-    m = len(instance.trucks)
-    for assignment in itertools.product([None] + list(range(m)), repeat=n):
-        deliveries: list[tuple[int, ...]] = [() for _ in range(m)]
-        for rid, tid in enumerate(assignment):
-            if tid is not None:
-                deliveries[tid] = deliveries[tid] + (rid,)
-        yield deliveries
+def _search(instance: Instance, semantics: str, capacity_rule: str):
+    """Every assignment of requests to a truck or to none under which each
+    truck has a route, the request -> truck-or-none vectors in lexicographic
+    order, none sorting first. Each is yielded as one (delivery, pairs) per
+    truck: the request ids it delivers and the (cost, route) of each feasible
+    stop order, in the order _orderings gives them (route order under
+    location semantics). A truck with nothing to deliver has the one pair
+    (0.0, ()).
+
+    The cost runs over every stop's location, from the depot and back; in
+    the route, consecutive stops at one location are one physical stop."""
+    _check_limits(instance)
+
+    def location_of(stop):  # a location, or a (request id, is_dropoff) event
+        if semantics == "location":
+            return stop
+        request = instance.requests[stop[0]]
+        return request.dropoff if stop[1] else request.pickup
+
+    def scored(truck, order):
+        locations = tuple(map(location_of, order))
+        cost = instance.arc_cost(truck, 0, locations[0])
+        for o, d in itertools.pairwise((*locations, 0)):
+            cost += instance.arc_cost(truck, o, d)
+        return cost, (0, *(v for v, _ in itertools.groupby(locations)), 0)
+
+    for assignment in itertools.product([None, *range(len(instance.trucks))],
+                                        repeat=len(instance.requests)):
+        per_truck = []
+        for t in instance.trucks:
+            delivery = tuple(rid for rid, tid in enumerate(assignment) if tid == t.id)
+            pairs = [scored(t, order) for order in _stop_orders(
+                instance, t, delivery, semantics, capacity_rule)] if delivery else [(0.0, ())]
+            if not pairs:
+                break
+            per_truck.append((delivery, pairs))
+        else:  # every truck has a route
+            yield per_truck
 
 
 def oracle(instance: Instance, semantics: str = "location",
            capacity_rule: str = "strict"
            ) -> tuple[float, DeliveryRoutingSolution]:
-    """Exhaustive optimum over all request assignments and routes.
+    """Exhaustive optimum over all request assignments and routes, from the
+    search that enumerate_xi lists: each truck's least (cost, route).
 
     semantics "location": each visited location appears once on a cycle;
     semantics "request": per-request pickup/dropoff events may revisit a
@@ -245,64 +256,37 @@ def oracle(instance: Instance, semantics: str = "location",
     Request semantics has one pickup or dropoff event per stop, so the rules
     coincide there.
     """
-    if semantics not in ("location", "request"):
+    if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
-    if capacity_rule not in ("strict", "netted"):
+    if capacity_rule not in CAPACITY_RULES:
         raise ValueError(f"unknown capacity rule {capacity_rule!r}")
-    _check_limits(instance)
-
-    def location_of(stop):  # a location, or a (request id, is_dropoff) event
-        if semantics == "location":
-            return stop
-        request = instance.requests[stop[0]]
-        return request.dropoff if stop[1] else request.pickup
-
     best_value = 0.0
     best_plans: Optional[tuple[TruckPlan, ...]] = None
-    for deliveries in _assignments(instance):
+    for per_truck in _search(instance, semantics, capacity_rule):
         value = 0.0
         plans: list[TruckPlan] = []
-        for t in instance.trucks:
-            delivery = deliveries[t.id]
-            if not delivery:
-                plans.append(TruckPlan(t.id, frozenset(), ()))
-                continue
-            found = _best_route(instance, t, _stop_orders(
-                instance, t, delivery, semantics, capacity_rule), location_of)
-            if found is None:
-                break
-            cost, route = found
+        for t, (delivery, pairs) in zip(instance.trucks, per_truck):
+            cost, route = min(pairs)
             value += sum(instance.requests[rid].w for rid in delivery) - cost
-            plans.append(TruckPlan(t.id, frozenset(delivery), (0,) + route + (0,)))
-        else:  # every truck has a route
-            if best_plans is None or value > best_value + 1e-12:
-                best_value = value
-                best_plans = tuple(plans)
-    if best_plans is None:  # unreachable: the empty assignment is always feasible
-        raise RuntimeError("no feasible solution found")
+            plans.append(TruckPlan(t.id, frozenset(delivery), route))
+        if best_plans is None or value > best_value + 1e-12:
+            best_value = value
+            best_plans = tuple(plans)
     return best_value, DeliveryRoutingSolution(plans=best_plans)
 
 
 def enumerate_xi(instance: Instance) -> list[tuple[DeliveryRoutingSolution, float]]:
-    """Every feasible (assignment, routes) combination under the location
-    route semantics, each scored; routes cover exactly the visited node set."""
-    _check_limits(instance)
+    """Every feasible (assignment, routes) combination of the oracle's search
+    under location semantics and the strict rule, each scored; routes cover
+    exactly the visited node set."""
     out: list[tuple[DeliveryRoutingSolution, float]] = []
-    for deliveries in _assignments(instance):
-        per_truck_routes: list[list[tuple[int, ...]]] = []
-        for t in instance.trucks:
-            delivery = deliveries[t.id]
-            routes = sorted((0,) + order + (0,) for order in _stop_orders(
-                instance, t, delivery, "location", "strict")) if delivery else [()]
-            if not routes:
-                break
-            per_truck_routes.append(routes)
-        else:  # every truck has a route
-            for combo in itertools.product(*per_truck_routes):
-                plans = tuple(TruckPlan(t.id, frozenset(deliveries[t.id]), combo[t.id])
-                              for t in instance.trucks)
-                solution = DeliveryRoutingSolution(plans=plans)
-                out.append((solution, xi(solution, instance)))
+    for per_truck in _search(instance, "location", "strict"):
+        for routes in itertools.product(*([route for _, route in pairs]
+                                          for _, pairs in per_truck)):
+            solution = DeliveryRoutingSolution(plans=tuple(
+                TruckPlan(t.id, frozenset(delivery), route)
+                for t, (delivery, _), route in zip(instance.trucks, per_truck, routes)))
+            out.append((solution, xi(solution, instance)))
     return out
 
 
@@ -560,19 +544,29 @@ def records_to_csv(records: list[BenchRecord]) -> str:
 
 def records_from_csv(text: str) -> list[BenchRecord]:
     """The records of a bench CSV as records_to_csv writes it; raises
-    ValueError naming a missing column or a bad value."""
-    try:
-        return [BenchRecord(
-            sample=row["sample"], k=float(row["k"]), m=int(row["m"]), n=int(row["n"]),
-            formulation=row["formulation"], num_vars=int(row["num_vars"]),
-            num_rows=int(row["num_rows"]), status=row["status"],
-            objective=float(row["objective"]) if row["objective"] else None,
-            wall_time_s=float(row["wall_time_s"]) if row["wall_time_s"] else None,
-            seed=int(row["seed"])) for row in csv.DictReader(io.StringIO(text))]
-    except KeyError as exc:
-        raise ValueError(f"no column {exc}") from None
-    except TypeError as exc:  # a short row reads as None
-        raise ValueError(str(exc)) from None
+    ValueError naming a missing column, or the line of a row with more or
+    fewer fields than the header or with a bad value."""
+    reader = csv.DictReader(io.StringIO(text))
+    records = []
+    for row in reader:
+        try:
+            # DictReader files a long row's extra fields under None and fills
+            # a short row's missing ones with None
+            if None in row or None in row.values():
+                raise ValueError(f"{'more' if None in row else 'fewer'} fields "
+                                 "than the header")
+            records.append(BenchRecord(
+                sample=row["sample"], k=float(row["k"]), m=int(row["m"]), n=int(row["n"]),
+                formulation=row["formulation"], num_vars=int(row["num_vars"]),
+                num_rows=int(row["num_rows"]), status=row["status"],
+                objective=float(row["objective"]) if row["objective"] else None,
+                wall_time_s=float(row["wall_time_s"]) if row["wall_time_s"] else None,
+                seed=int(row["seed"])))
+        except KeyError as exc:
+            raise ValueError(f"no column {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
+    return records
 
 
 def render_markdown(records: list[BenchRecord], solver_label: str = "none",
@@ -625,7 +619,7 @@ def _versus(left, right, smaller_wins: bool) -> str:
             return f"{v:g}"
         return str(v)
 
-    if left is None or right is None or left == right:
+    if left is None or right is None or left == right or fmt(left) == fmt(right):
         return f"{fmt(left)} / {fmt(right)}"
     left_wins = (left < right) if smaller_wins else (left > right)
     if left_wins:

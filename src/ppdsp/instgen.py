@@ -211,8 +211,6 @@ def average_distance(graph: LocationGraph) -> float:
 
 def make_requests(avg_dist: float, sorted_pairs: tuple[tuple[int, int], ...],
                   n: int, rng: GenRng) -> list[Request]:
-    if n > len(sorted_pairs):
-        raise ValueError("not enough sorted pairs for n requests")
     requests = []
     for r in range(n):
         q = round_half_up(rng.uniform(1, 2 * AVG_VOLUME - 1))

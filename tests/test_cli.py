@@ -344,7 +344,7 @@ class TestInputErrors:
         ["bench", "--tsplib", data_path("burma14.tsp"), "--k", "1", "--m", "2"],
         ["report", "--csv", "bench.csv"],
     ])
-    @pytest.mark.parametrize("limit", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("limit", ["nan", "inf", "0", "abc"])
     def test_time_limit_must_be_finite_and_positive(self, args, limit, golden_path,
                                                     capsys):
         if args[0] == "solve":
@@ -553,6 +553,18 @@ class TestInputErrors:
         csv_path.write_text("sample,k,n\nburma14,1,7\n")
         assert main(["report", "--csv", str(csv_path)]) == 2
         one_reason_line(capsys, "no column 'm'")
+
+    @pytest.mark.parametrize("bad_row, reason", [
+        ("burma14,1,2,7,location,458,1041,EncodeOnly,,,0,extra", "more"),
+        ("burma14,1,2,7,location,458,1041,EncodeOnly,,", "fewer"),  # no seed
+    ], ids=["long", "short"])
+    def test_report_csv_row_unlike_its_header(self, bad_row, reason, tmp_path, capsys):
+        csv_path = tmp_path / "bench.csv"
+        csv_path.write_text(",".join(harness.CSV_HEADER) + "\n"
+                            "burma14,1,2,7,location,458,1041,EncodeOnly,,,0\n"
+                            f"{bad_row}\n")
+        assert main(["report", "--csv", str(csv_path)]) == 2
+        one_reason_line(capsys, f"{csv_path}: line 3: {reason} fields than the header")
 
 
 def json_paths(node, prefix=()):

@@ -15,7 +15,7 @@ from ppdsp.cli import main
 from ppdsp.core import (DeliveryRoutingSolution, Instance, InstanceMeta,
                         LocationGraph, Request, Truck, ValidationReport,
                         Violation, ViolationKind, validate_solution, xi)
-from ppdsp.harness import (CensusMismatch, OracleRefused, SolveOutcome,
+from ppdsp.harness import (BenchRecord, CensusMismatch, OracleRefused, SolveOutcome,
                            SolverAdapter, SolverProcessError, bench,
                            enumerate_xi, formulation, oracle, records_from_csv,
                            records_to_csv, render_markdown, run_adapter, solve)
@@ -437,6 +437,19 @@ class TestBench:
         assert "Obj. [stub, 60s limit]" in text
         assert "**458**" in text   # smaller variable count wins
         assert "**1027**" in text  # smaller row count wins
+
+    @pytest.mark.parametrize("req, loc, cell", [
+        (39.514806, 39.514807, "39.5148 / 39.5148"),  # one printed text, no winner
+        (-0.0, 0.0, "-0 / 0"),
+        (39.5, 40.0, "39.5 / **40**"),  # the larger objective wins
+        (41.0, 40.0, "**41** / 40"),
+        (None, 40.0, "- / 40"),
+    ])
+    def test_markdown_objective_bolding(self, req, loc, cell):
+        records = [BenchRecord("burma14", 1.0, 2, 7, form, 10, 10, "Optimal", value,
+                               1.0, 0) for form, value in (("request", req),
+                                                           ("location", loc))]
+        assert f"| Obj. [none] | {cell} |" in render_markdown(records).splitlines()
 
     @pytest.mark.parametrize("second, formulations, reason", [
         (None, ["loc", "location"], "formulation=location is given twice"),
