@@ -547,6 +547,9 @@ def records_from_csv(text: str) -> list[BenchRecord]:
     ValueError naming a missing column, or the line of a row with more or
     fewer fields than the header or with a bad value."""
     reader = csv.DictReader(io.StringIO(text))
+    for name in CSV_HEADER:
+        if name not in (reader.fieldnames or ()):
+            raise ValueError(f"no column {name!r}")
     records = []
     for row in reader:
         try:
@@ -562,8 +565,6 @@ def records_from_csv(text: str) -> list[BenchRecord]:
                 objective=float(row["objective"]) if row["objective"] else None,
                 wall_time_s=float(row["wall_time_s"]) if row["wall_time_s"] else None,
                 seed=int(row["seed"])))
-        except KeyError as exc:
-            raise ValueError(f"no column {exc}") from None
         except ValueError as exc:
             raise ValueError(f"line {reader.line_num}: {exc}") from None
     return records

@@ -1,6 +1,8 @@
-"""Standalone MIP solver process: reads an LP file, solves it with HiGHS
-through scipy's bundled HiGHS binding, loaded by itself (no scipy.optimize,
-no numpy), and writes a 'name value' solution file.
+"""Standalone MIP solver process: checks an LP file with parse_lp, loads it
+with HiGHS's own LP reader through scipy's bundled HiGHS binding, loaded by
+itself (no scipy.optimize, no numpy), solves it, and writes a 'name value'
+solution file. HiGHS picks its reader by suffix, so the model's name must end
+in '.lp' (any case). A binary whose bounds leave [0, 1] is clamped to them.
 
 Usage: ppdsp-highs MODEL.lp SOLUTION.sol [TIME_LIMIT_S]
 
@@ -17,13 +19,14 @@ other '<', '>' or '=' appears after the name. A row with text after its rhs
 'c1: x < y <= 3'), no rhs ('c1: x + y <=') or a rhs that is not a number
 ('c1: x <= abc') is refused with an LpParseError naming the line, as is a
 bound whose value is not a number ('0 <= x <= abc'). The solve refuses a NaN
-coefficient, rhs or bound, naming its constraint or variable.
+coefficient, rhs or bound, naming its constraint or variable, and a name
+repeated in the objective. A model HiGHS's reader refuses ends as Error.
 
-Exit status: 0 when a solution file was written; 2 on wrong usage, a time
-limit that is not a positive number (NaN included; 'inf' means no limit),
-an unreadable or non-UTF-8 model, an LP the parser or the solve refuses, a
-missing HiGHS binding or an unwritable solution file, with the reason on
-one stderr line 'ppdsp-highs: <reason>'.
+Exit status: 0 when a solution file was written; 2 on wrong usage, a model
+name not ending in '.lp', a time limit that is not a positive number (NaN
+included; 'inf' means no limit), an unreadable or non-UTF-8 model, an LP the
+parser or the solve refuses, a missing HiGHS binding or an unwritable
+solution file, with the reason on one stderr line 'ppdsp-highs: <reason>'.
 """
 
 from __future__ import annotations
@@ -301,69 +304,34 @@ _STATUS_WORDS = {
 _ERROR_WORDS = ("Error", "Error")
 
 
-def solve_lp(text: str, time_limit_s: float | None = None):
-    """Solve an LP file's text with HiGHS. Returns (status word, objective
-    value or None, {name: value}, telemetry), where telemetry holds HiGHS's
-    'gap', 'dual_bound' (in the model's own sense) and 'nodes' after a
-    branch-and-bound run, and is empty otherwise.
-
-    A NaN coefficient, rhs or bound is refused with an LpParseError. A
-    time limit of None or inf means no limit.
-
-    The text is dropped once parsed, and the Python copy of the model (the
-    parse, its arrays and the HighsLp) once HiGHS holds its own, before
-    HiGHS runs: only the column names are kept. A caller that passes the
-    only reference to the text gets its memory back during the solve.
-    """
-    sense, objective, rows, bounds, integers, binaries = parse_lp(text)
-    del text
-    # columns in order of first appearance: the objective, the rows, then
-    # the Bounds, Generals and Binaries sections
-    names = list(dict.fromkeys(chain(
-        (name for name, _ in objective),
-        (name for _, terms, _, _ in rows for name, _ in terms),
-        bounds, integers, binaries)))
-    index = {name: j for j, name in enumerate(names)}
-
-    # the rows as a row-wise sparse matrix
-    start, cols, coefs, row_lower, row_upper = [0], [], [], [], []
-    for _, terms, op, rhs in rows:
-        row_cols = [index[name] for name, _ in terms]
-        row_coefs = [coef for _, coef in terms]
-        if len(set(row_cols)) < len(row_cols):  # a name twice: sum its terms
-            merged: dict[int, float] = {}
-            for col, coef in zip(row_cols, row_coefs):
-                merged[col] = merged.get(col, 0.0) + coef
-            row_cols, row_coefs = list(merged), list(merged.values())
-        cols += row_cols
-        coefs += row_coefs
-        start.append(len(cols))
-        row_lower.append(-inf if op == "<=" else rhs)
-        row_upper.append(inf if op == ">=" else rhs)
-    if any(map(isnan, chain(coefs, row_lower, row_upper))):
-        name = next(name for name, terms, _, rhs in rows
-                    if isnan(rhs) or any(isnan(coef) for _, coef in terms))
-        raise LpParseError(f"NaN coefficient or rhs in constraint {name!r}")
-
-    num = len(names)
-    cost = [0.0] * num
-    for name, coef in objective:
-        cost[index[name]] += coef
-    if any(map(isnan, cost)):
+def _binary_clamps(path: str) -> list[tuple[str, float, float]]:
+    """Reads the LP file at `path` with parse_lp and refuses a NaN, or a name
+    repeated in the objective, with an LpParseError. Returns (name, lower,
+    upper), clamped to [0, 1], of each binary whose bounds leave [0, 1]."""
+    with open(path) as fh:
+        _, objective, rows, bounds, _, binaries = parse_lp(fh.read())
+    for name, terms, _, rhs in rows:
+        if isnan(rhs) or any(isnan(coef) for _, coef in terms):
+            raise LpParseError(f"NaN coefficient or rhs in constraint {name!r}")
+    if any(isnan(coef) for _, coef in objective):
         raise LpParseError("NaN coefficient in the objective")
-
-    lower = [0.0] * num
-    upper = [inf] * num
-    for name in binaries:
-        upper[index[name]] = 1.0
-    binary = set(binaries)
+    if len(dict(objective)) < len(objective):  # HiGHS would keep only the last
+        raise LpParseError("a name is repeated in the objective")
     for name, (lo, hi) in bounds.items():
         if isnan(lo) or isnan(hi):
             raise LpParseError(f"NaN bound of {name!r}")
-        if name in binary:
-            lo, hi = max(0.0, lo), min(1.0, hi)
-        lower[index[name]], upper[index[name]] = lo, hi
+    binary = set(binaries)
+    return [(name, max(0.0, lo), min(1.0, hi)) for name, (lo, hi) in bounds.items()
+            if name in binary and (lo < 0.0 or hi > 1.0)]
 
+
+def solve_lp(path: str, time_limit_s: float | None = None):
+    """Solve the LP file at `path` with HiGHS once _binary_clamps has checked
+    it. Returns (status word, objective value or None, {name: value},
+    telemetry), where telemetry holds HiGHS's 'gap', 'dual_bound' (in the
+    model's own sense) and 'nodes' after a branch-and-bound run, and is
+    empty otherwise. A time limit of None or inf means no limit."""
+    clamps = _binary_clamps(path)
     highs = _highs()
     solver = highs._Highs()
     options = highs.HighsOptions()
@@ -371,35 +339,10 @@ def solve_lp(text: str, time_limit_s: float | None = None):
     if time_limit_s is not None:
         options.time_limit = float(time_limit_s)
     solver.passOptions(options)
-    # the binding takes every array of the LP as a list except col_cost_,
-    # which it converts through numpy. So the columns go in one at a time
-    # with their bounds, the costs likewise, and the LP that HiGHS then
-    # holds is completed and passed back whole. A column HiGHS refuses (x =
-    # inf) is not added, and the later ones would shift: the model is an Error
-    for lo, hi in zip(lower, upper):
-        if solver.addVar(lo, hi) == highs.HighsStatus.kError:
-            return "Error", None, {}, {}
-    for j, coef in enumerate(cost):
-        if coef:
-            solver.changeColCost(j, coef)
-    lp = solver.getLp()
-    if sense == "max":
-        lp.sense_ = highs.ObjSense.kMaximize
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(rows)
-    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
-    lp.a_matrix_.format_ = highs.MatrixFormat.kRowwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, cols, coefs
-    if integers or binaries:
-        integrality = [highs.HighsVarType.kContinuous] * num
-        for name in chain(integers, binaries):
-            integrality[index[name]] = highs.HighsVarType.kInteger
-        lp.integrality_ = integrality
-        del integrality
-    if solver.passModel(lp) == highs.HighsStatus.kError:  # as kModelError
+    if solver.readModel(path) == highs.HighsStatus.kError:
         return "Error", None, {}, {}
-    # HiGHS holds its own copy of the model now; only the names are needed
-    del objective, rows, bounds, integers, binaries, binary, index, lp
-    del start, cols, coefs, row_lower, row_upper, cost, lower, upper
+    for name, lo, hi in clamps:
+        solver.changeColBounds(solver.getColByName(name)[1], lo, hi)
     solver.run()
     info = solver.getInfo()
     incumbent = info.primal_solution_status == highs.kSolutionStatusFeasible
@@ -413,22 +356,30 @@ def solve_lp(text: str, time_limit_s: float | None = None):
                      "nodes": info.mip_node_count}
     if status not in ("Optimal", "Feasible"):
         return status, None, {}, telemetry
-    values = dict(zip(names, solver.getSolution().col_value))
+    values = dict(zip(solver.getLp().col_names_, solver.getSolution().col_value))
     return status, info.objective_function_value + 0.0, values, telemetry
 
 
 def solve_lp_text(text: str, time_limit_s: float | None = None):
-    """Returns (status string, objective value or None, {name: value}): the
-    first three items of solve_lp."""
-    return solve_lp(text, time_limit_s)[:3]
+    """The first three items of solve_lp on the text, written to a
+    temporary .lp file: (status, objective value or None, {name: value})."""
+    import tempfile  # here, so that the solver child does not import it
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.lp")
+        with open(path, "w") as fh:
+            fh.write(text)
+        return solve_lp(path, time_limit_s)[:3]
 
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) not in (2, 3):
-        print(__doc__, file=sys.stderr)
+        print("ppdsp-highs: usage: MODEL.lp SOLUTION.sol [TIME_LIMIT_S]", file=sys.stderr)
         return 2
     model_path, solution_path = args[0], args[1]
+    if not model_path.lower().endswith(".lp"):
+        print(f"ppdsp-highs: model {model_path!r} does not end in '.lp'", file=sys.stderr)
+        return 2
     try:
         time_limit = float(args[2]) if len(args) == 3 else None
     except ValueError:
@@ -439,9 +390,7 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
     try:
-        with open(model_path) as fh:
-            # solve_lp holds the only reference to the text, and drops it
-            status, objective, values, telemetry = solve_lp(fh.read(), time_limit)
+        status, objective, values, telemetry = solve_lp(model_path, time_limit)
         with open(solution_path, "w") as fh:
             fh.write(f"# status {status}\n")
             if objective is not None:

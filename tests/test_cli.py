@@ -636,3 +636,39 @@ class TestMutatedInputs:
         solution.write_text(json.dumps(mutated(SOLUTION_DOC, path, mutation)))
         assert run_in_process("validate", "--instance", data_path("threereq.instance"),
                               "--solution", str(solution)) in (0, 2, 3)
+
+
+class TestStdout:
+    """Without a file to write, bench and report write the same bytes to
+    stdout."""
+
+    def test_bench_without_csv_writes_the_csv_to_stdout(self, tmp_path, capsys):
+        args = ["bench", "--tsplib", data_path("burma14.tsp"), "--k", "1,2",
+                "--m", "2", "--solver", "none"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        csv_path = tmp_path / "bench.csv"
+        assert main([*args, "--csv", str(csv_path)]) == 0
+        assert out.encode() == csv_path.read_bytes()
+
+    def test_report_without_out_writes_the_report_to_stdout(self, tmp_path, capsys):
+        csv_path = tmp_path / "bench.csv"
+        assert main(["bench", "--tsplib", data_path("burma14.tsp"), "--k", "1",
+                     "--m", "2", "--solver", "none", "--csv", str(csv_path)]) == 0
+        args = ["report", "--csv", str(csv_path), "--solver-label", "none"]
+        capsys.readouterr()
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        report = tmp_path / "report.md"
+        assert main([*args, "--out", str(report)]) == 0
+        assert out.encode() == report.read_bytes()
+
+
+class TestReportCsvHeader:
+    @pytest.mark.parametrize("text, column", [("sample,k\n", "m"), ("", "sample")],
+                             ids=["two-columns", "empty"])
+    def test_csv_without_rows_refused_by_its_header(self, tmp_path, capsys, text, column):
+        csv_path = tmp_path / "bench.csv"
+        csv_path.write_text(text)
+        assert main(["report", "--csv", str(csv_path)]) == 2
+        one_reason_line(capsys, f"no column '{column}'")

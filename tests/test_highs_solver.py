@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import pytest
@@ -13,7 +14,7 @@ import ppdsp
 from conftest import small_random_instance
 from ppdsp.enc_location import encode_location
 from ppdsp.enc_request import encode_request
-from ppdsp.highs_solver import LpParseError, main, parse_lp, solve_lp_text
+from ppdsp.highs_solver import LpParseError, _highs, main, parse_lp, solve_lp_text
 from ppdsp.instgen import generate_family
 from ppdsp.mipir import ModelBuilder, Sense, VarKind, emit_lp, parse_solution
 from test_mipir import tiny_model
@@ -640,3 +641,147 @@ class TestLazyPackage:
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
             ppdsp.nonesuch
+
+
+class TestHighsReader:
+    """The model HiGHS's own LP reader builds from emit_lp's text is the
+    model, its columns in order of first appearance in the text: a later
+    HiGHS that read the text differently would show here."""
+
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    @pytest.mark.parametrize("encode", [encode_location, encode_request])
+    def test_reads_emit_lp_as_the_model(self, tmp_path, golden_instance, seed, encode):
+        instance = golden_instance if seed is None else small_random_instance(seed)
+        model = encode(instance).model
+        _, objective, rows, bounds, integers, binaries = expected_parse(model)
+        order = list(dict.fromkeys(
+            [name for name, _ in objective]
+            + [name for _, terms, _, _ in rows for name, _ in terms]
+            + [*bounds, *integers, *binaries]))
+        assert sorted(order) == sorted(model.names)
+        column = [model.names.index(name) for name in order]
+        path = tmp_path / "model.lp"
+        path.write_text(emit_lp(model))
+        highs = _highs()
+        solver = highs._Highs()
+        options = highs.HighsOptions()
+        options.log_to_console = False
+        solver.passOptions(options)
+        assert solver.readModel(str(path)) == highs.HighsStatus.kOk
+        lp = solver.getLp()
+        assert lp.sense_ == highs.ObjSense.kMaximize
+        assert list(lp.col_names_) == order
+        assert list(map(float, lp.col_cost_)) == [model.objective[j] for j in column]
+        assert list(map(float, lp.col_lower_)) == [model.lowers[j] for j in column]
+        assert list(map(float, lp.col_upper_)) == [model.uppers[j] for j in column]
+        assert [kind.name for kind in lp.integrality_] == [
+            "kContinuous" if model.kinds[j] is VarKind.CONTINUOUS else "kInteger"
+            for j in column]
+        assert list(lp.row_names_) == model.row_names
+        assert list(map(float, lp.row_lower_)) == [
+            NEG_INF if sense is Sense.LE else rhs
+            for sense, rhs in zip(model.senses, model.rhs)]
+        assert list(map(float, lp.row_upper_)) == [
+            POS_INF if sense is Sense.GE else rhs
+            for sense, rhs in zip(model.senses, model.rhs)]
+        matrix = lp.a_matrix_
+        assert matrix.format_ == highs.MatrixFormat.kColwise
+        starts = list(matrix.start_)
+        got = sorted((int(row), column[col], float(value))
+                     for col, (start, end) in enumerate(zip(starts, starts[1:]))
+                     for row, value in zip(matrix.index_[start:end],
+                                           matrix.value_[start:end]))
+        want = sorted((row, j, coef)
+                      for row, (start, end) in enumerate(zip(model.row_start,
+                                                             model.row_start[1:]))
+                      for j, coef in zip(model.cols[start:end], model.coefs[start:end]))
+        assert got == want
+
+
+class TestLoadedByHighs:
+    @pytest.mark.parametrize("sense, optimum", [("Maximize", 1.0), ("Minimize", 0.0)])
+    def test_binary_bounds_are_clamped_to_0_1(self, sense, optimum):
+        # HiGHS's reader alone makes x an integer on [-3, 4]
+        lp = (f"{sense}\n obj: x\nSubject To\n c1: x <= 3\nBounds\n -3 <= x <= 4\n"
+              "Binaries\n x\nEnd\n")
+        assert solve_lp_text(lp) == ("Optimal", optimum, {"x": optimum})
+
+    @pytest.mark.parametrize("name", ["m.txt", "model", "m.mps", "m.lp.gz"])
+    def test_model_name_not_ending_in_lp_exits_2(self, tmp_path, capsys, name):
+        model = tmp_path / name
+        model.write_text("Maximize\n obj: x\nSubject To\n c1: x <= 1\nEnd\n")
+        assert main([str(model), str(tmp_path / "solution.sol")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ppdsp-highs: ") and "does not end in '.lp'" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "solution.sol").exists()
+
+    def test_lp_suffix_in_any_case(self, tmp_path):
+        model = tmp_path / "m.LP"
+        model.write_text("Maximize\n obj: x\nSubject To\n c1: x <= 1\nEnd\n")
+        assert main([str(model), str(tmp_path / "solution.sol")]) == 0
+        assert (tmp_path / "solution.sol").read_text().startswith("# status Optimal\n")
+
+    @pytest.mark.parametrize("args", [[], ["model.lp"], ["a.lp", "b.sol", "10", "x"]],
+                             ids=["none", "one", "four"])
+    def test_wrong_usage_exits_2_with_one_usage_line(self, capsys, args):
+        assert main(args) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "ppdsp-highs: usage: MODEL.lp SOLUTION.sol [TIME_LIMIT_S]"]
+
+    @pytest.mark.parametrize("lp", [
+        "Maximize\n obj: x\nSubject To\n c1: x <= 1\nEnd\n",
+        "Maximize\n obj: nan x\nSubject To\n c1: x <= 1\nEnd\n",
+    ], ids=["solved", "refused"])
+    def test_solve_lp_text_leaves_nothing_behind(self, tmp_path, monkeypatch, lp):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        try:
+            solve_lp_text(lp)
+        except LpParseError:
+            pass
+        assert os.listdir(tmp_path) == []
+
+    # inputs emit_lp never writes, whose outcome changed when HiGHS began
+    # reading the file itself; each was different before
+    @pytest.mark.parametrize("lp, outcome", [
+        # was a StopIteration traceback: the summed coefficient is NaN
+        ("Maximize\n obj: x\nSubject To\n c1: inf x - inf x <= 3\nEnd\n",
+         ("Error", None, {})),
+        # was 3.0: parse_lp drops a constant, HiGHS's reader adds it
+        ("Maximize\n obj: 3 + x\nSubject To\n c1: x <= 3\nEnd\n",
+         ("Optimal", 6.0, {"x": 3.0})),
+        # each was solved: HiGHS's reader wants End, and nothing after it
+        ("Maximize\n obj: x\nSubject To\n c1: x <= 3\n", ("Error", None, {})),
+        ("Maximize\n obj: x\nSubject To\n c1: x <= 3\nGenerals\n x",
+         ("Error", None, {})),
+        ("Maximize\n obj: x\nSubject To\n c1: x <= 3\nEnd\nx\n", ("Error", None, {})),
+        # was an Error: parse_lp reads '-x' as a name, HiGHS's reader as - x
+        ("Maximize\n obj: x\nSubject To\n c1: -x >= -3\nEnd\n",
+         ("Optimal", 3.0, {"x": 3.0})),
+        # was {'3x': 3.0}: likewise '3x' is 3 x to HiGHS's reader
+        ("Maximize\n obj: 3x\nSubject To\n c1: 3x <= 3\nEnd\n",
+         ("Optimal", 3.0, {"x": 1.0})),
+        # was solved: HiGHS's reader refuses a name holding '['
+        ("Maximize\n obj: x\nSubject To\n c1: x[1] + x <= 3\nEnd\n",
+         ("Error", None, {})),
+        # was 3.0: parse_lp keeps Maximize, HiGHS's reader the last sense
+        ("Maximize\n obj: x\nSubject To\n c1: x <= 3\nMinimize\n obj: x\nEnd\n",
+         ("Optimal", 0.0, {"x": 0.0})),
+    ], ids=["row-inf-minus-inf", "objective-constant", "no-end", "no-end-generals",
+            "after-end", "signed-name", "number-glued-to-name", "bracket-name",
+            "two-objectives"])
+    def test_outcome_read_by_highs(self, lp, outcome):
+        assert solve_lp_text(lp) == outcome
+
+    @pytest.mark.parametrize("expression", ["x + x", "2 x + y + 3 x", "inf x - inf x"])
+    def test_name_repeated_in_the_objective_refused(self, expression):
+        # HiGHS's reader would keep only the name's last term
+        with pytest.raises(LpParseError, match="repeated in the objective"):
+            solve_lp_text(objective_lp(expression).replace("End", " c1: x <= 3\nEnd"))
+
+
+class TestNameListsToTheEnd:
+    @pytest.mark.parametrize("section, index", [("Generals", 4), ("Binaries", 5)])
+    def test_section_without_end_still_read(self, section, index):
+        lp = f"Maximize\n obj: x\nSubject To\n c1: x + y <= 3\n{section}\n x\n y"
+        assert parse_lp(lp)[index] == ["x", "y"]
