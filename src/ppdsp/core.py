@@ -1,7 +1,6 @@
 """Domain model: locations, requests, trucks, delivery-routing solutions.
 
-All types are frozen dataclasses; all operations are pure functions, so
-everything here is safe to share across threads.
+All types are frozen dataclasses; all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -194,30 +193,26 @@ class ValidationReport:
 
 
 def xi(solution: DeliveryRoutingSolution, instance: Instance) -> float:
-    """Total payments of served requests minus total arc costs.
-
-    Purely arithmetic; does not check feasibility.
-    """
+    """Total payments of served requests minus total arc costs; a route node
+    outside the graph is a StructuralError. Does not check feasibility."""
     total = 0.0
     for plan in solution.plans:
         truck = instance.truck_by_id(plan.truck_id)
         for rid in plan.delivery:
             total += instance.request_by_id(rid).w
+        for v in plan.route:
+            if not (0 <= v < instance.graph.num_nodes):
+                raise StructuralError(f"unknown node id {v}")
         for o, d in zip(plan.route, plan.route[1:]):
-            if not (0 <= o < instance.graph.num_nodes):
-                raise StructuralError(f"unknown node id {o}")
-            if not (0 <= d < instance.graph.num_nodes):
-                raise StructuralError(f"unknown node id {d}")
             total -= instance.arc_cost(truck, o, d)
     return total
 
 
 def _route_violations(delivery_nodes: set[int], route: tuple[int, ...]) -> list[Violation]:
-    out: list[Violation] = []
     if len(route) < 3 or route[0] != 0 or route[-1] != 0:
-        out.append(Violation(ViolationKind.NOT_CYCLE, route[0] if route else 0,
-                             "route must start and end at the depot"))
-        return out
+        return [Violation(ViolationKind.NOT_CYCLE, route[0] if route else 0,
+                          "route must start and end at the depot")]
+    out: list[Violation] = []
     interior = route[1:-1]
     if 0 in interior:
         out.append(Violation(ViolationKind.REPEATED_NODE, 0, "depot revisited mid-route"))
@@ -241,30 +236,29 @@ def validate_route(truck: Truck, delivery: frozenset[int] | set[int],
     Loading and unloading at the same stop are netted, which is exactly as
     permissive as the encoders' load-tracking constraints.
     """
-    violations: list[Violation] = []
-    if not delivery:
-        if route:
-            violations.extend(_route_violations(set(), route))
-        return ValidationReport(tuple(violations))
-
+    if not delivery and not route:
+        return ValidationReport(())
     requests = [instance.request_by_id(rid) for rid in sorted(delivery)]
     needed = {0}
     for r in requests:
         needed.add(r.pickup)
         needed.add(r.dropoff)
-
-    violations.extend(_route_violations(needed, route))
-    if any(v.kind in (ViolationKind.NOT_CYCLE, ViolationKind.REPEATED_NODE,
-                      ViolationKind.MISSING_NODE) for v in violations):
+    violations = _route_violations(needed, route)
+    if violations:
         return ValidationReport(tuple(violations))
-
-    position = {v: i for i, v in enumerate(route[1:-1])}
+    interior = route[1:-1]
+    position = {v: i for i, v in enumerate(interior)}
+    net = [0] * len(interior)  # the load each stop adds
     for r in requests:
-        if position[r.pickup] >= position[r.dropoff]:
+        pickup, dropoff = position[r.pickup], position[r.dropoff]
+        if pickup >= dropoff:
             violations.append(Violation(ViolationKind.PRECEDENCE_VIOLATED, r.id,
                                         f"dropoff {r.dropoff} before pickup {r.pickup}"))
-
-    for v, load in load_profile(truck, delivery, route, instance):
+        net[pickup] += r.q
+        net[dropoff] -= r.q
+    load = 0
+    for v, change in zip(interior, net):
+        load += change
         if load > truck.capacity:
             violations.append(Violation(ViolationKind.CAPACITY_EXCEEDED, v,
                                         f"load {load} > capacity {truck.capacity}"))
@@ -292,28 +286,3 @@ def validate_solution(solution: DeliveryRoutingSolution, instance: Instance) -> 
         report = validate_route(truck, plan.delivery, plan.route, instance)
         violations.extend(report.violations)
     return ValidationReport(tuple(violations))
-
-
-def load_profile(truck: Truck, delivery: frozenset[int] | set[int],
-                 route: tuple[int, ...], instance: Instance) -> list[tuple[int, int]]:
-    """Running net load after each non-depot stop.
-
-    Raises StructuralError when a served request's endpoint is missing from
-    the route.
-    """
-    if not delivery:
-        return []
-    requests = [instance.request_by_id(rid) for rid in sorted(delivery)]
-    interior = route[1:-1]
-    on_route = set(interior)
-    for r in requests:
-        for v in (r.pickup, r.dropoff):
-            if v not in on_route:
-                raise StructuralError(f"MissingNode: request {r.id} endpoint {v} not on route")
-    profile: list[tuple[int, int]] = []
-    load = 0
-    for v in interior:
-        load += sum(r.q for r in requests if r.pickup == v)
-        load -= sum(r.q for r in requests if r.dropoff == v)
-        profile.append((v, load))
-    return profile

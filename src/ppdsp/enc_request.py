@@ -104,7 +104,6 @@ def encode_request(instance: Instance) -> RequestEncoding:
     volume_of = gmap.volume_of
     barred = {t.id: [abs(volume) > t.capacity for volume in volume_of] for t in trucks}
     fixed = [_fixed_to_zero(gmap, o, d) for o, d in arcs]
-    x_upper = [0.0 if fix else 1.0 for fix in fixed]
     # payment is collected on departure from a pickup node, merged into the
     # arc objective coefficients; each arc's cost is that of its physical arc,
     # an index into the flattened location cost table
@@ -118,11 +117,8 @@ def encode_request(instance: Instance) -> RequestEncoding:
     for t in trucks:
         flat_cost = [cost for row in instance.arc_costs(t) for cost in row]
         bar_t = barred[t.id]
-        if any(bar_t):
-            x_upper_t = [0.0 if fix or bar_t[o] or bar_t[d] else 1.0
-                         for fix, (o, d) in zip(fixed, arcs)]
-        else:
-            x_upper_t = x_upper
+        x_upper_t = [0.0 if fix or bar_t[o] or bar_t[d] else 1.0
+                     for fix, (o, d) in zip(fixed, arcs)]
         x_prefix = f"x_t{t.id}"  # x_name(t.id, o, d) == x_prefix + arc_suffix
         bases[t.id][X] = b.add_variables(
             [x_prefix + suffix for suffix in arc_suffix], VarKind.BINARY,

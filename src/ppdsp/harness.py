@@ -173,14 +173,14 @@ def _orderings(stops: list, before: dict, up: dict, down: dict, capacity: int,
 
 def _stop_orders(instance: Instance, truck: Truck, delivery: tuple[int, ...],
                  semantics: str, capacity_rule: str):
-    """The feasible orders of one truck's stops: the visited locations under
-    location semantics, the (request id, is_dropoff) events under request
-    semantics."""
+    """The feasible orders of one truck's stops, each stop a tuple whose last
+    item is its location: a visited (location,) under location semantics, a
+    (request id, is_dropoff, location) event under request semantics."""
     before, up, down = defaultdict(set), defaultdict(int), defaultdict(int)
     for rid in delivery:
         request = instance.requests[rid]
-        pickup, dropoff = ((request.pickup, request.dropoff) if semantics == "location"
-                           else ((rid, 0), (rid, 1)))
+        pickup, dropoff = (((request.pickup,), (request.dropoff,)) if semantics == "location"
+                           else ((rid, 0, request.pickup), (rid, 1, request.dropoff)))
         before[dropoff].add(pickup)
         up[pickup] += request.q
         down[dropoff] += request.q
@@ -212,14 +212,8 @@ def _search(instance: Instance, semantics: str, capacity_rule: str):
     the route, consecutive stops at one location are one physical stop."""
     _check_limits(instance)
 
-    def location_of(stop):  # a location, or a (request id, is_dropoff) event
-        if semantics == "location":
-            return stop
-        request = instance.requests[stop[0]]
-        return request.dropoff if stop[1] else request.pickup
-
     def scored(truck, order):
-        locations = tuple(map(location_of, order))
+        locations = [stop[-1] for stop in order]
         cost = instance.arc_cost(truck, 0, locations[0])
         for o, d in itertools.pairwise((*locations, 0)):
             cost += instance.arc_cost(truck, o, d)

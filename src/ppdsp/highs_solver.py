@@ -157,10 +157,10 @@ def parse_lp(text: str):
         units = plus  # the unit terms of the pending sign
         coef = None  # the pending coefficient, signed, if one was read
         for tok in tokens:
-            if tok == "+":
-                units, coef = plus, None
-            elif tok == "-":
-                units, coef = minus, None
+            if tok == "+" or tok == "-":
+                if coef is not None:
+                    raise LpParseError(f"a number without a name before {tok!r}")
+                units = plus if tok == "+" else minus
             elif coef is None and (term := units.get(tok)) is not None:
                 append(term)
                 units = plus

@@ -13,8 +13,7 @@ list would keep as one Python object each. The other columns stay lists,
 whose entries repeat a few shared objects.
 
 Models are not changed once built (nothing writes to a model's columns);
-emission and the census are pure, so a model can be shared freely across
-threads.
+emission and the census are pure.
 """
 
 from __future__ import annotations

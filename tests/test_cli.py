@@ -476,6 +476,15 @@ class TestInputErrors:
         assert main(["validate", "--instance", golden_path, "--solution", str(sol)]) == 2
         one_reason_line(capsys, f"bad solution file: {reason}")
 
+    @pytest.mark.parametrize("node", [99, -1])
+    def test_one_node_route_outside_the_graph(self, node, golden_path, tmp_path, capsys):
+        # such a route has no arc, yet its node is checked like any other
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps({"plans": [
+            {"truck": 0, "delivery": [], "route": [node]}]}))
+        assert main(["validate", "--instance", golden_path, "--solution", str(sol)]) == 2
+        one_reason_line(capsys, f"bad solution file: unknown node id {node}")
+
     def test_solution_gives_one_truck_two_plans(self, golden_path, tmp_path, capsys):
         sol = tmp_path / "sol.json"
         sol.write_text(json.dumps({"plans": [

@@ -7,7 +7,7 @@ import pytest
 from conftest import small_random_instance
 from ppdsp.core import (DeliveryRoutingSolution, Instance, LocationGraph,
                         Request, StructuralError, Truck, TruckPlan,
-                        Violation, ViolationKind, load_profile, validate_route,
+                        Violation, ViolationKind, validate_route,
                         validate_solution, xi)
 from ppdsp.harness import oracle
 
@@ -81,6 +81,12 @@ class TestXi:
         with pytest.raises(StructuralError):
             xi(solution, golden_instance)
 
+    @pytest.mark.parametrize("node", [99, -1])
+    def test_one_node_route_outside_the_graph_raises(self, golden_instance, node):
+        solution = DeliveryRoutingSolution(plans=(plan(0, (), (node,)),))
+        with pytest.raises(StructuralError, match=f"unknown node id {node}"):
+            xi(solution, golden_instance)
+
 
 class TestValidateRoute:
     def test_clean_route(self, golden_instance):
@@ -136,6 +142,17 @@ class TestValidateRoute:
         assert validate_route(golden_instance.trucks[0], set(), (),
                               golden_instance).ok
 
+    @pytest.mark.parametrize("capacity, shown", [
+        (3, ["CapacityExceeded(1): load 6 > capacity 3",
+             "CapacityExceeded(2): load 4 > capacity 3"]),
+        (6, []),
+    ], ids=["capacity-3", "capacity-6"])
+    def test_running_net_loads(self, golden_instance, capacity, shown):
+        # +q0+q1 at a, -q1 at b, -q0 at c: the running loads are 6, 4 and 0
+        report = validate_route(Truck(0, capacity, 1.0), {0, 1}, (0, 1, 2, 3, 0),
+                                golden_instance)
+        assert [str(v) for v in report.violations] == shown
+
 
 class TestValidateSolution:
     def test_duplicate_assignment(self, golden_instance):
@@ -158,23 +175,6 @@ class TestValidateSolution:
             plan(0, {2}, (0, 2, 3, 0))))
         with pytest.raises(StructuralError, match="truck 0 has two plans"):
             validate_solution(solution, golden_instance)
-
-
-class TestLoadProfile:
-    def test_running_net_loads(self, golden_instance):
-        profile = load_profile(golden_instance.trucks[0], {0, 1},
-                               (0, 1, 2, 3, 0), golden_instance)
-        # +q0+q1 at a, -q1 at b, -q0 at c
-        assert profile == [(1, 6), (2, 4), (3, 0)]
-
-    def test_missing_endpoint_raises(self, golden_instance):
-        with pytest.raises(StructuralError):
-            load_profile(golden_instance.trucks[0], {0}, (0, 1, 2, 0),
-                         golden_instance)
-
-    def test_empty_delivery(self, golden_instance):
-        assert load_profile(golden_instance.trucks[0], set(), (),
-                            golden_instance) == []
 
 
 def test_xi_is_finite_float(golden_instance):

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import signal
+import subprocess
 import sys
 import time
 from unittest import mock
@@ -354,6 +355,40 @@ class TestSolve:
             while process_state(pid) not in (None, "Z") and time.monotonic() < deadline:
                 time.sleep(0.05)
             assert process_state(pid) in (None, "Z")
+        finally:
+            if process_state(pid) not in (None, "Z"):
+                os.kill(pid, signal.SIGKILL)
+
+    def test_ctrl_c_kills_the_solver_and_is_raised(self, tmp_path, monkeypatch):
+        pid_file = tmp_path / "solver.pid"
+        script = tmp_path / "sleeping_solver.py"
+        script.write_text("import os, time\n"
+                          f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+                          "time.sleep(60)\n")
+        communicate = subprocess.Popen.communicate
+
+        def interrupted(proc, *args, timeout=None, **kwargs):
+            if timeout is None:  # the wait after the kill
+                return communicate(proc, *args, **kwargs)
+            deadline = time.monotonic() + 10
+            while not pid_file.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)  # until the solver sleeps
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        adapter = SolverAdapter(f"{sys.executable} {script} {{model_path}}",
+                                workdir=str(workdir))
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_adapter(adapter, "Maximize\n obj: x\nSubject To\nEnd\n", 30.0)
+        pid = int(pid_file.read_text())
+        try:
+            assert time.monotonic() - started < 10  # nothing waited for the sleeper
+            with pytest.raises(ProcessLookupError):  # its session's group is gone
+                os.killpg(pid, 0)
+            assert os.listdir(workdir) == []
         finally:
             if process_state(pid) not in (None, "Z"):
                 os.kill(pid, signal.SIGKILL)

@@ -45,15 +45,16 @@ def expected_parse(model):
 
 def reference_terms(tokens):
     """The exception-driven expression reader the parser had before it
-    classified tokens by their first character: float() decides."""
+    classified tokens by their first character: float() decides. A number
+    that a sign follows multiplies no name, and is refused."""
     terms = []
     sign = 1.0
     coef = None
     for tok in tokens:
-        if tok == "+":
-            sign, coef = 1.0, None
-        elif tok == "-":
-            sign, coef = -1.0, None
+        if tok in ("+", "-"):
+            if coef is not None:
+                raise LpParseError(f"a number without a name before {tok!r}")
+            sign = 1.0 if tok == "+" else -1.0
         else:
             try:
                 value = float(tok)
@@ -747,9 +748,6 @@ class TestLoadedByHighs:
         # was a StopIteration traceback: the summed coefficient is NaN
         ("Maximize\n obj: x\nSubject To\n c1: inf x - inf x <= 3\nEnd\n",
          ("Error", None, {})),
-        # was 3.0: parse_lp drops a constant, HiGHS's reader adds it
-        ("Maximize\n obj: 3 + x\nSubject To\n c1: x <= 3\nEnd\n",
-         ("Optimal", 6.0, {"x": 3.0})),
         # each was solved: HiGHS's reader wants End, and nothing after it
         ("Maximize\n obj: x\nSubject To\n c1: x <= 3\n", ("Error", None, {})),
         ("Maximize\n obj: x\nSubject To\n c1: x <= 3\nGenerals\n x",
@@ -767,7 +765,7 @@ class TestLoadedByHighs:
         # was 3.0: parse_lp keeps Maximize, HiGHS's reader the last sense
         ("Maximize\n obj: x\nSubject To\n c1: x <= 3\nMinimize\n obj: x\nEnd\n",
          ("Optimal", 0.0, {"x": 0.0})),
-    ], ids=["row-inf-minus-inf", "objective-constant", "no-end", "no-end-generals",
+    ], ids=["row-inf-minus-inf", "no-end", "no-end-generals",
             "after-end", "signed-name", "number-glued-to-name", "bracket-name",
             "two-objectives"])
     def test_outcome_read_by_highs(self, lp, outcome):
@@ -778,6 +776,34 @@ class TestLoadedByHighs:
         # HiGHS's reader would keep only the name's last term
         with pytest.raises(LpParseError, match="repeated in the objective"):
             solve_lp_text(objective_lp(expression).replace("End", " c1: x <= 3\nEnd"))
+
+
+class TestNumberBeforeASign:
+    """A number that a sign follows multiplies no name. HiGHS's reader adds
+    it as a constant, which the check's reading would drop, so the check
+    refuses it."""
+
+    @pytest.mark.parametrize("lp, reason", [
+        ("Maximize\n obj: x + y\nSubject To\n c1: x + 2 - y <= 3\nEnd\n",
+         "a number without a name before '-' in constraint 'c1: x + 2 - y <= 3'"),
+        ("Maximize\n obj: x\nSubject To\n c1: 3 + x <= 3\nEnd\n",
+         "a number without a name before '+' in constraint 'c1: 3 + x <= 3'"),
+        ("Maximize\n obj: 3 + x\nSubject To\n c1: x <= 3\nEnd\n",
+         "a number without a name before '+'"),
+    ], ids=["number-between-names", "row-constant", "objective-constant"])
+    def test_refused_naming_the_line(self, lp, reason):
+        for read in (parse_lp, solve_lp_text):
+            with pytest.raises(LpParseError) as info:
+                read(lp)
+            assert str(info.value) == reason
+
+    def test_child_exits_2_with_one_reason_line(self, tmp_path, capsys):
+        model = tmp_path / "model.lp"
+        model.write_text("Maximize\n obj: 3 + x\nSubject To\n c1: x <= 3\nEnd\n")
+        assert main([str(model), str(tmp_path / "solution.sol"), "10"]) == 2
+        err = capsys.readouterr().err
+        assert err == "ppdsp-highs: a number without a name before '+'\n"
+        assert not (tmp_path / "solution.sol").exists()
 
 
 class TestNameListsToTheEnd:
