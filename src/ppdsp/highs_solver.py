@@ -6,11 +6,20 @@ in '.lp' (any case). A binary whose bounds leave [0, 1] is clamped to them.
 
 Usage: ppdsp-highs MODEL.lp SOLUTION.sol [TIME_LIMIT_S]
 
+With two or more CPUs to run on, the child races two forked HiGHS copies,
+with random seeds 0 and 1, so it holds up to two models at once; the time
+limit is still one wall-clock limit. The first copy to end Optimal,
+Infeasible or Error wins; else, once both end, one with an incumbent beats
+one without, and then the smaller gap wins. So which of several optimal
+plans, or which incumbent at a limit, comes back can differ between runs.
+One copy, with seed 0, runs on one CPU, in a process that had loaded the
+HiGHS binding before main, and in solve_lp.
+
 The solution file starts with '# status <Status>' and '# objective <value>'
 comment lines and, after a branch-and-bound run, '# gap', '# dual_bound' (in
-the model's own sense) and '# nodes' lines, followed by one 'name value'
-line per nonzero variable. A zero objective or bound is written as 0.0, not
--0.0.
+the model's own sense) and '# nodes' (the winning copy's count) lines, then
+one 'name value' line per nonzero variable. A zero objective or bound is
+written as 0.0, not -0.0.
 
 Each constraint is one 'name: terms <op> rhs' line: its comparator <op>
 ('<=', '>=' or '=') is its next-to-last token, its rhs a number, and no
@@ -22,11 +31,12 @@ bound whose value is not a number ('0 <= x <= abc'). The solve refuses a NaN
 coefficient, rhs or bound, naming its constraint or variable, and a name
 repeated in the objective. A model HiGHS's reader refuses ends as Error.
 
-Exit status: 0 when a solution file was written; 2 on wrong usage, a model
-name not ending in '.lp', a time limit that is not a positive number (NaN
-included; 'inf' means no limit), an unreadable or non-UTF-8 model, an LP the
-parser or the solve refuses, a missing HiGHS binding or an unwritable
-solution file, with the reason on one stderr line 'ppdsp-highs: <reason>'.
+Exit status: 0 when a solution file was written; 1 when no raced copy
+answered; 2 on wrong usage, a model name not ending in '.lp', a time limit
+that is not a positive number (NaN included; 'inf' means no limit), an
+unreadable or non-UTF-8 model, an LP the parser or the solve refuses, a
+missing HiGHS binding or an unwritable solution file. Each gives its reason
+on one stderr line 'ppdsp-highs: <reason>'.
 """
 
 from __future__ import annotations
@@ -36,8 +46,9 @@ import importlib.machinery
 import importlib.util
 import os
 import re
+import signal
 import sys
-from itertools import chain
+from itertools import chain, takewhile
 from math import inf, isnan
 
 SECTIONS = ("maximize", "minimize", "subject to", "bounds", "generals",
@@ -191,7 +202,10 @@ def parse_lp(text: str):
     collecting = gc.isenabled()
     gc.disable()
     try:
-        objective = read_terms(obj_tokens)
+        try:
+            objective = read_terms(obj_tokens)
+        except LpParseError as exc:
+            raise LpParseError(f"{exc} in the objective") from None
         del obj_tokens, objective_lines
         # each row line goes, in file order, once its row is built
         lines = sections.pop("subject to", [])
@@ -302,6 +316,7 @@ _STATUS_WORDS = {
     "kInfeasible": ("Infeasible", "Infeasible"),
 }
 _ERROR_WORDS = ("Error", "Error")
+_SEEDS = (0, 1)  # the raced copies' HiGHS random seeds; one copy runs the first
 
 
 def _binary_clamps(path: str) -> list[tuple[str, float, float]]:
@@ -331,11 +346,16 @@ def solve_lp(path: str, time_limit_s: float | None = None):
     telemetry), where telemetry holds HiGHS's 'gap', 'dual_bound' (in the
     model's own sense) and 'nodes' after a branch-and-bound run, and is
     empty otherwise. A time limit of None or inf means no limit."""
-    clamps = _binary_clamps(path)
+    return _solve_seed(path, _binary_clamps(path), time_limit_s, 0)
+
+
+def _solve_seed(path: str, clamps, time_limit_s: float | None, seed: int):
+    """solve_lp's answer from one HiGHS copy, given the file's clamps."""
     highs = _highs()
     solver = highs._Highs()
     options = highs.HighsOptions()
     options.log_to_console = False
+    options.random_seed = seed
     if time_limit_s is not None:
         options.time_limit = float(time_limit_s)
     solver.passOptions(options)
@@ -371,7 +391,68 @@ def solve_lp_text(text: str, time_limit_s: float | None = None):
         return solve_lp(path, time_limit_s)[:3]
 
 
+def _write_answer(path: str, answer) -> None:
+    """Writes a solve_lp answer to the solution file at `path`."""
+    status, objective, values, telemetry = answer
+    with open(path, "w") as fh:
+        fh.write(f"# status {status}\n")
+        if objective is not None:
+            fh.write(f"# objective {objective!r}\n")
+        for key, value in telemetry.items():
+            fh.write(f"# {key} {value!r}\n")
+        for name, value in values.items():
+            if value != 0.0:
+                fh.write(f"{name} {value!r}\n")
+
+
+def _race(model_path: str, solution_path: str, clamps, time_limit_s) -> bool:
+    """Races a forked HiGHS copy per seed in _SEEDS, each answering into its
+    own file beside the solution file, and moves the winner's answer to
+    `solution_path`; False if none answered. No copy or file of a copy
+    outlives the call, Ctrl-C or a SIGTERM (as `timeout` sends) included."""
+    parts = [f"{solution_path}.seed{seed}" for seed in _SEEDS]
+    workers: dict[int, str] = {}  # pid -> its copy's answer file
+    best, best_rank = None, ()
+    on_term = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
+    try:
+        for seed, part in zip(_SEEDS, parts):
+            open(part, "w").close()  # an unwritable place is refused before a fork
+            if (pid := os.fork()) == 0:  # the copy, which skips the parent's cleanup
+                signal.signal(signal.SIGTERM, on_term)
+                try:
+                    _write_answer(part, _solve_seed(model_path, clamps, time_limit_s, seed))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            workers[pid] = part
+        while workers and best_rank[:1] != (True,):
+            pid, wait_status = os.wait()
+            # None: a child that this race did not start
+            if (part := workers.pop(pid, None)) is not None and wait_status == 0:
+                with open(part) as fh:
+                    header = dict(line.split()[1:] for line in
+                                  takewhile(lambda line: line.startswith("# "), fh))
+                # a proof or a refusal ends the race; else an incumbent, then the gap
+                rank = (header["status"] in ("Optimal", "Infeasible", "Error"),
+                        "objective" in header, -float(header.get("gap", inf)))
+                if rank > best_rank:
+                    best, best_rank = part, rank
+        if best is not None:
+            os.replace(best, solution_path)
+        return best is not None
+    finally:
+        for pid in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for part in filter(os.path.exists, parts):
+            os.remove(part)
+        signal.signal(signal.SIGTERM, on_term)
+
+
 def main(argv: list[str] | None = None) -> int:
+    # a fork would not copy the scheduler threads of a HiGHS that has run
+    race = (_BINDING not in sys.modules and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= len(_SEEDS))
     args = sys.argv[1:] if argv is None else argv
     if len(args) not in (2, 3):
         print("ppdsp-highs: usage: MODEL.lp SOLUTION.sol [TIME_LIMIT_S]", file=sys.stderr)
@@ -390,16 +471,13 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
     try:
-        status, objective, values, telemetry = solve_lp(model_path, time_limit)
-        with open(solution_path, "w") as fh:
-            fh.write(f"# status {status}\n")
-            if objective is not None:
-                fh.write(f"# objective {objective!r}\n")
-            for key, value in telemetry.items():
-                fh.write(f"# {key} {value!r}\n")
-            for name, value in values.items():
-                if value != 0.0:
-                    fh.write(f"{name} {value!r}\n")
+        clamps = _binary_clamps(model_path)
+        _highs()  # a missing binding is reported once, before any fork
+        if not race:
+            _write_answer(solution_path, _solve_seed(model_path, clamps, time_limit, 0))
+        elif not _race(model_path, solution_path, clamps, time_limit):
+            print("ppdsp-highs: no HiGHS copy answered", file=sys.stderr)
+            return 1
     except (LpParseError, SolverMissing, OSError, UnicodeDecodeError) as exc:
         print(f"ppdsp-highs: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,12 @@
+import contextlib
 import gc
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 
 import pytest
@@ -14,7 +17,8 @@ import ppdsp
 from conftest import small_random_instance
 from ppdsp.enc_location import encode_location
 from ppdsp.enc_request import encode_request
-from ppdsp.highs_solver import LpParseError, _highs, main, parse_lp, solve_lp_text
+from ppdsp.highs_solver import (_SEEDS, LpParseError, _highs, _solve_seed, main,
+                                 parse_lp, solve_lp_text)
 from ppdsp.instgen import generate_family
 from ppdsp.mipir import ModelBuilder, Sense, VarKind, emit_lp, parse_solution
 from test_mipir import tiny_model
@@ -789,7 +793,7 @@ class TestNumberBeforeASign:
         ("Maximize\n obj: x\nSubject To\n c1: 3 + x <= 3\nEnd\n",
          "a number without a name before '+' in constraint 'c1: 3 + x <= 3'"),
         ("Maximize\n obj: 3 + x\nSubject To\n c1: x <= 3\nEnd\n",
-         "a number without a name before '+'"),
+         "a number without a name before '+' in the objective"),
     ], ids=["number-between-names", "row-constant", "objective-constant"])
     def test_refused_naming_the_line(self, lp, reason):
         for read in (parse_lp, solve_lp_text):
@@ -802,7 +806,7 @@ class TestNumberBeforeASign:
         model.write_text("Maximize\n obj: 3 + x\nSubject To\n c1: x <= 3\nEnd\n")
         assert main([str(model), str(tmp_path / "solution.sol"), "10"]) == 2
         err = capsys.readouterr().err
-        assert err == "ppdsp-highs: a number without a name before '+'\n"
+        assert err == "ppdsp-highs: a number without a name before '+' in the objective\n"
         assert not (tmp_path / "solution.sol").exists()
 
 
@@ -811,3 +815,128 @@ class TestNameListsToTheEnd:
     def test_section_without_end_still_read(self, section, index):
         lp = f"Maximize\n obj: x\nSubject To\n c1: x + y <= 3\n{section}\n x\n y"
         assert parse_lp(lp)[index] == ["x", "y"]
+
+
+class TestRace:
+    """The solver child races one HiGHS copy per CPU, up to two, only in a
+    fresh process, so each test runs the child as a subprocess."""
+
+    # the child's main, with its forks counted
+    COUNTED = ("import os, sys; from ppdsp import highs_solver; forks = []; "
+               "fork = os.fork; os.fork = lambda: forks.append(1) or fork(); "
+               "code = highs_solver.main(sys.argv[1:]); print(len(forks)); sys.exit(code)")
+
+    @staticmethod
+    def child(argv, **popen):
+        """(the finished child process, its stdout, its stderr)."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ppdsp.__file__)))
+        proc = subprocess.Popen([sys.executable, *argv], env={**os.environ, "PYTHONPATH": src},
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                **popen)
+        return proc, *proc.communicate(timeout=120)
+
+    @staticmethod
+    def header(solution) -> dict[str, str]:
+        return dict(line[2:].split(" ", 1) for line in solution.read_text().splitlines()
+                    if line.startswith("# "))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("encode", [encode_location, encode_request])
+    def test_same_answer_on_two_cpus_and_on_one(self, tmp_path, seed, encode):
+        model = tmp_path / "model.lp"
+        model.write_text(emit_lp(encode(small_random_instance(seed)).model))
+        cpus = os.sched_getaffinity(0)
+        one_cpu = min(cpus)
+        answers = []
+        for pin, forks in [(None, 2 if len(cpus) >= 2 else 0), (one_cpu, 0)]:
+            solution = tmp_path / f"solution-{pin}.sol"
+            proc, out, err = self.child(
+                ["-c", self.COUNTED, str(model), str(solution)],
+                preexec_fn=None if pin is None else lambda: os.sched_setaffinity(0, {pin}))
+            assert proc.returncode == 0, err
+            assert out == f"{forks}\n"
+            header = self.header(solution)
+            answers.append((header["status"], float(header["objective"])))
+        (status, objective), (pinned_status, pinned_objective) = answers
+        assert status == pinned_status == "Optimal"
+        assert objective == pytest.approx(pinned_objective, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("lp, limit, statuses", [
+        (None, "60", ["Optimal"]),
+        (None, "1e-3", ["TimeLimit", "Feasible"]),
+        ("Maximize\n obj: x\nSubject To\n c1: x <= 1\nBounds\n x = inf\nEnd\n", "60",
+         ["Error"]),
+        ("Maximize\n obj: 3 + x\nSubject To\n c1: x <= 3\nEnd\n", "60", None),
+    ], ids=["answer", "time-limit", "refused-by-highs", "refused-by-the-check"])
+    def test_nothing_outlives_the_child(self, tmp_path, golden_instance, lp, limit, statuses):
+        model = tmp_path / "model.lp"
+        model.write_text(lp or emit_lp(encode_request(golden_instance).model))
+        out = tmp_path / "out"
+        out.mkdir()
+        proc, _, err = self.child(["-m", "ppdsp.highs_solver", str(model),
+                                   str(out / "solution.sol"), limit], start_new_session=True)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+        if statuses is None:
+            assert proc.returncode == 2 and err.count("\n") == 1
+            assert os.listdir(out) == []
+        else:
+            assert proc.returncode == 0, err
+            assert os.listdir(out) == ["solution.sol"]
+            assert self.header(out / "solution.sol")["status"] in statuses
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU runs no race")
+    @pytest.mark.parametrize("signum, kill", [(signal.SIGINT, os.killpg),
+                                              (signal.SIGTERM, os.kill)],
+                             ids=["ctrl-c-to-the-group", "sigterm-to-the-child"])
+    def test_interrupted_race_leaves_nothing_behind(self, tmp_path, burma14, signum, kill):
+        # a request model that takes seconds to solve, interrupted mid-race as
+        # a terminal's Ctrl-C (the process group) or `timeout` (the child) would
+        model = tmp_path / "model.lp"
+        model.write_text(emit_lp(encode_request(generate_family(burma14, [1], 1, 0)[1]).model))
+        out = tmp_path / "out"
+        out.mkdir()
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ppdsp.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ppdsp.highs_solver", str(model), str(out / "solution.sol")],
+            env={**os.environ, "PYTHONPATH": src}, stderr=subprocess.PIPE,
+            start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while len(os.listdir(out)) < 2 and proc.poll() is None:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            assert proc.poll() is None, "the child ended before its race began"
+            time.sleep(0.3)
+            kill(proc.pid, signum)
+            proc.communicate(timeout=60)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert proc.returncode != 0
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+        assert os.listdir(out) == []
+
+    def test_the_seeds_give_the_copies_different_searches(self, tmp_path):
+        model = tmp_path / "model.lp"
+        model.write_text(emit_lp(encode_request(small_random_instance(2)).model))
+        answers = [_solve_seed(str(model), [], None, seed) for seed in _SEEDS]
+        assert [status for status, *_ in answers] == ["Optimal"] * len(_SEEDS)
+        objectives = [objective for _, objective, _, _ in answers]
+        assert max(objectives) == pytest.approx(min(objectives), rel=1e-9)
+        assert len({telemetry["nodes"] for *_, telemetry in answers}) == len(_SEEDS)
+
+    def test_a_very_short_limit_keeps_the_telemetry_headers(self, tmp_path):
+        model = tmp_path / "model.lp"
+        model.write_text(emit_lp(encode_request(small_random_instance(2)).model))
+        solution = tmp_path / "solution.sol"
+        proc, _, err = self.child(["-m", "ppdsp.highs_solver", str(model), str(solution), "1e-3"])
+        assert proc.returncode == 0, err
+        header = self.header(solution)
+        assert header["status"] in ("Feasible", "TimeLimit")
+        expected = ["status", "objective", "gap", "dual_bound", "nodes"]
+        if header["status"] == "TimeLimit":  # no incumbent, so no objective
+            expected.remove("objective")
+        assert list(header) == expected
