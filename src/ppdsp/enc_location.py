@@ -63,13 +63,14 @@ def arc_layout(size: int) -> tuple[list[str], list[list[int]], list[list[int]]]:
 
 
 # variable families, in declaration order; a term (family F, offset k) of a
-# row layout is column bases[F] + k of the truck the row belongs to
+# row layout is column fleet[t][F] + k of the truck t the row belongs to
 X, Y, U, H = range(4)
 
 
 def encode_location(instance: Instance) -> LocationEncoding:
     nv = instance.graph.num_nodes
     trucks = instance.trucks
+    m = len(trucks)
     requests = instance.requests
     n = len(requests)
     nodes = range(nv)
@@ -81,70 +82,59 @@ def encode_location(instance: Instance) -> LocationEncoding:
     b = ModelBuilder()
 
     # objective: payments on y minus arc costs on x; diagonal arcs fixed to 0
-    bases = {t.id: [0, 0, 0, 0] for t in trucks}
-    x_upper = [float(o != d) for o in nodes for d in nodes]
-    for t in trucks:
-        x_prefix = f"x_t{t.id}"  # x_name(t.id, o, d) == x_prefix + arc_suffix
-        bases[t.id][X] = b.add_variables(
-            [x_prefix + suffix for suffix in arc_suffix], VarKind.BINARY,
-            [0.0] * (nv * nv), x_upper,
-            [-cost for row in instance.arc_costs(t) for cost in row])
-    for t in trucks:
-        bases[t.id][Y] = b.add_variables(
-            [y_name(t.id, r.id) for r in requests], VarKind.BINARY,
-            [0.0] * n, [1.0] * n, [r.w for r in requests])
+    x0 = b.add_variables(
+        [prefix + suffix for prefix in [f"x_t{t.id}" for t in trucks]
+         for suffix in arc_suffix], VarKind.BINARY, [0.0] * (m * nv * nv),
+        [float(o != d) for o in nodes for d in nodes] * m,
+        [-cost for t in trucks for row in instance.arc_costs(t) for cost in row])
+    y0 = b.add_variables(
+        [y_name(t.id, r.id) for t in trucks for r in requests], VarKind.BINARY,
+        [0.0] * (m * n), [1.0] * (m * n), [r.w for r in requests] * m)
     # u and h have no depot copy; their bases sit one back, so offset v is node v
-    for t in trucks:
-        bases[t.id][U] = b.add_variables(
-            [u_name(t.id, v) for v in range(1, nv)], VarKind.INTEGER,
-            [0.0] * (nv - 1), [nv - 2] * (nv - 1), [0.0] * (nv - 1)) - 1
-    for t in trucks:
-        bases[t.id][H] = b.add_variables(
-            [h_name(t.id, v) for v in range(1, nv)], VarKind.CONTINUOUS,
-            [0.0] * (nv - 1), [t.capacity] * (nv - 1), [0.0] * (nv - 1)) - 1
+    u0 = b.add_variables(
+        [u_name(t.id, v) for t in trucks for v in range(1, nv)], VarKind.INTEGER,
+        [0.0] * (m * (nv - 1)), [nv - 2] * (m * (nv - 1)), [0.0] * (m * (nv - 1))) - 1
+    h0 = b.add_variables(
+        [h_name(t.id, v) for t in trucks for v in range(1, nv)], VarKind.CONTINUOUS,
+        [0.0] * (m * (nv - 1)), [t.capacity for t in trucks for _ in range(1, nv)],
+        [0.0] * (m * (nv - 1))) - 1
+    fleet = [[x0 + i * nv * nv, y0 + i * n, u0 + i * (nv - 1), h0 + i * (nv - 1)]
+             for i in range(m)]
 
     # each request to at most one truck
-    m = len(trucks)
     b.add_rows([f"c3_r{r.id}" for r in requests], [Sense.LE] * n, [1.0] * n,
-               [m] * n, [bases[t.id][Y] + i for i in range(n) for t in trucks],
+               [m] * n, [bases[Y] + i for i in range(n) for bases in fleet],
                [1.0] * (m * n))
     # serving a request forces a visit of its pickup and its dropoff:
     # y - (arcs into the stop) <= 0
-    visit_coefs = ([1.0] + [-1.0] * (nv - 1)) * n
     for family, stops in (("c4", [r.pickup for r in requests]),
                           ("c5", [r.dropoff for r in requests])):
         offsets = [j for i, v in enumerate(stops) for j in [i] + into[v]]
-        for t in trucks:
-            b.add_rows([f"{family}_t{t.id}_r{r.id}" for r in requests],
-                       [Sense.LE] * n, [0.0] * n, [nv] * n,
-                       place(offsets, [Y] + [X] * (nv - 1), bases[t.id]),
-                       visit_coefs)
+        b.add_rows([f"{family}_t{t.id}_r{r.id}" for t in trucks for r in requests],
+                   [Sense.LE] * (m * n), [0.0] * (m * n), [nv] * (m * n),
+                   place(offsets, [Y] + [X] * (nv - 1), fleet),
+                   ([1.0] + [-1.0] * (nv - 1)) * (m * n))
     # flow conservation and at most one departure per location
     offsets = [j for o in nodes for j in out_of[o] + into[o]]
-    flow_coefs = ([1.0] * (nv - 1) + [-1.0] * (nv - 1)) * nv
-    for t in trucks:
-        b.add_rows([f"c6_t{t.id}_o{o}" for o in nodes], [Sense.EQ] * nv,
-                   [0.0] * nv, [2 * (nv - 1)] * nv,
-                   place(offsets, [X], bases[t.id]), flow_coefs)
+    b.add_rows([f"c6_t{t.id}_o{o}" for t in trucks for o in nodes],
+               [Sense.EQ] * (m * nv), [0.0] * (m * nv), [2 * (nv - 1)] * (m * nv),
+               place(offsets, [X], fleet),
+               ([1.0] * (nv - 1) + [-1.0] * (nv - 1)) * (m * nv))
     offsets = list(chain.from_iterable(out_of))
-    for t in trucks:
-        b.add_rows([f"c7_t{t.id}_o{o}" for o in nodes], [Sense.LE] * nv,
-                   [1.0] * nv, [nv - 1] * nv,
-                   place(offsets, [X], bases[t.id]), [1.0] * len(offsets))
+    b.add_rows([f"c7_t{t.id}_o{o}" for t in trucks for o in nodes],
+               [Sense.LE] * (m * nv), [1.0] * (m * nv), [nv - 1] * (m * nv),
+               place(offsets, [X], fleet), [1.0] * (m * len(offsets)))
     # MTZ ordering over non-depot pairs: u_d - u_o - |V| x_od >= 1 - |V|
     offsets = list(chain.from_iterable((d, o, o * nv + d) for o, d in pairs))
-    for t in trucks:
-        prefix = f"c8_t{t.id}"
-        b.add_rows([prefix + suffix for suffix in pair_suffix],
-                   [Sense.GE] * k, [1.0 - nv] * k, [3] * k,
-                   place(offsets, [U, U, X], bases[t.id]),
-                   [1.0, -1.0, -float(nv)] * k)
+    b.add_rows([prefix + suffix for prefix in [f"c8_t{t.id}" for t in trucks]
+                for suffix in pair_suffix],
+               [Sense.GE] * (m * k), [1.0 - nv] * (m * k), [3] * (m * k),
+               place(offsets, [U, U, X], fleet), [1.0, -1.0, -float(nv)] * (m * k))
     # pickup order precedes dropoff order when assigned (integer-gap rewrite)
     offsets = [j for i, r in enumerate(requests) for j in (r.pickup, r.dropoff, i)]
-    for t in trucks:
-        b.add_rows([f"c9_t{t.id}_r{r.id}" for r in requests], [Sense.LE] * n,
-                   [nv - 1.0] * n, [3] * n, place(offsets, [U, U, Y], bases[t.id]),
-                   [1.0, -1.0, float(nv)] * n)
+    b.add_rows([f"c9_t{t.id}_r{r.id}" for t in trucks for r in requests],
+               [Sense.LE] * (m * n), [nv - 1.0] * (m * n), [3] * (m * n),
+               place(offsets, [U, U, Y], fleet), [1.0, -1.0, float(nv)] * (m * n))
     # load propagation along traversed arcs, big-M pair per ordered pair; the
     # net load change at the destination is shared by every origin
     gamma_of = [[i for i, r in enumerate(requests) if r.pickup == d]
@@ -161,14 +151,14 @@ def encode_location(instance: Instance) -> LocationEncoding:
         families += ([H, H] + [Y] * len(gamma_of[d]) + [X]) * 2
         lengths += [len(row_offsets)] * 2
     total_volume = sum(r.q for r in requests)
-    for t in trucks:
-        big_m = float(t.capacity + total_volume)
-        prefixes = (f"c10a_t{t.id}", f"c10b_t{t.id}")
-        b.add_rows([prefix + suffix for suffix in pair_suffix for prefix in prefixes],
-                   [Sense.LE, Sense.GE] * k, [big_m, -big_m] * k, lengths,
-                   place(offsets, families, bases[t.id]),
-                   [c for _, d in pairs for end in (big_m, -big_m)
-                    for c in (1.0, -1.0, *gamma_coefs[d], end)])
+    big_m_of = [float(t.capacity + total_volume) for t in trucks]
+    b.add_rows([f"c10{half}_t{t.id}{suffix}" for t in trucks for suffix in pair_suffix
+                for half in "ab"],
+               [Sense.LE, Sense.GE] * (m * k),
+               list(chain.from_iterable([big_m, -big_m] * k for big_m in big_m_of)),
+               lengths * m, place(offsets, families, fleet),
+               [c for big_m in big_m_of for _, d in pairs for end in (big_m, -big_m)
+                for c in (1.0, -1.0, *gamma_coefs[d], end)])
     return LocationEncoding(model=b.build(), instance=instance)
 
 

@@ -79,7 +79,7 @@ def _fixed_to_zero(gmap: RequestGraphMap, o: int, d: int) -> bool:
 
 
 # variable families, in declaration order; a term (family F, offset k) of a
-# row layout is column bases[F] + k of the truck the row belongs to
+# row layout is column fleet[t][F] + k of the truck t the row belongs to
 X, U, H = range(3)
 
 
@@ -102,7 +102,7 @@ def encode_request(instance: Instance) -> RequestEncoding:
     # nodes whose load change alone overflows a truck are unreachable for it;
     # barring the arcs keeps the verbatim load bounds from emptying out
     volume_of = gmap.volume_of
-    barred = {t.id: [abs(volume) > t.capacity for volume in volume_of] for t in trucks}
+    barred = [[abs(volume) > t.capacity for volume in volume_of] for t in trucks]
     fixed = [_fixed_to_zero(gmap, o, d) for o, d in arcs]
     # payment is collected on departure from a pickup node, merged into the
     # arc objective coefficients; each arc's cost is that of its physical arc,
@@ -113,84 +113,76 @@ def encode_request(instance: Instance) -> RequestEncoding:
     loc = gmap.location_of
     nv = instance.graph.num_nodes
     physical = [loc[o] * nv + loc[d] for o, d in arcs]
-    bases = {t.id: [0, 0, 0] for t in trucks}
-    for t in trucks:
-        flat_cost = [cost for row in instance.arc_costs(t) for cost in row]
-        bar_t = barred[t.id]
-        x_upper_t = [0.0 if fix or bar_t[o] or bar_t[d] else 1.0
-                     for fix, (o, d) in zip(fixed, arcs)]
-        x_prefix = f"x_t{t.id}"  # x_name(t.id, o, d) == x_prefix + arc_suffix
-        bases[t.id][X] = b.add_variables(
-            [x_prefix + suffix for suffix in arc_suffix], VarKind.BINARY,
-            [0.0] * (nn * nn), x_upper_t,
-            list(map(sub, w_arcs, map(flat_cost.__getitem__, physical))))
-    for t in trucks:
-        bases[t.id][U] = b.add_variables(
-            [u_name(t.id, v) for v in nodes], VarKind.INTEGER,
-            [0.0] * nn, [nn - 1] * nn, [0.0] * nn)
-    for t in trucks:
-        bar_t = barred[t.id]
-        bases[t.id][H] = b.add_variables(
-            [h_name(t.id, v) for v in nodes], VarKind.CONTINUOUS,
-            [0.0 if bar_t[v] else float(max(0, volume_of[v])) for v in nodes],
-            [float(t.capacity) if bar_t[v]
-             else float(min(t.capacity, t.capacity + volume_of[v]))
-             for v in nodes],
-            [0.0] * nn)
+    flat_costs = ([cost for row in instance.arc_costs(t) for cost in row]
+                  for t in trucks)
+    x0 = b.add_variables(
+        [prefix + suffix for prefix in [f"x_t{t.id}" for t in trucks]
+         for suffix in arc_suffix], VarKind.BINARY, [0.0] * (m * nn * nn),
+        [0.0 if fix or bar[o] or bar[d] else 1.0
+         for bar in barred for fix, (o, d) in zip(fixed, arcs)],
+        list(chain.from_iterable(map(sub, w_arcs, map(flat.__getitem__, physical))
+                                 for flat in flat_costs)))
+    u0 = b.add_variables(
+        [u_name(t.id, v) for t in trucks for v in nodes], VarKind.INTEGER,
+        [0.0] * (m * nn), [nn - 1] * (m * nn), [0.0] * (m * nn))
+    h0 = b.add_variables(
+        [h_name(t.id, v) for t in trucks for v in nodes], VarKind.CONTINUOUS,
+        [0.0 if bar[v] else float(max(0, volume_of[v]))
+         for bar in barred for v in nodes],
+        [float(t.capacity) if bar[v]
+         else float(min(t.capacity, t.capacity + volume_of[v]))
+         for t, bar in zip(trucks, barred) for v in nodes],
+        [0.0] * (m * nn))
+    fleet = [[x0 + i * nn * nn, u0 + i * nn, h0 + i * nn] for i in range(m)]
 
     # every route leaves the start depot once and enters the end depot once
     offsets = out_of[0] + into[end]
-    for t in trucks:
-        b.add_rows([f"ca3s_t{t.id}", f"ca3e_t{t.id}"], [Sense.EQ] * 2, [1.0] * 2,
-                   [nn - 1] * 2, place(offsets, [X], bases[t.id]),
-                   [1.0] * len(offsets))
+    b.add_rows([f"ca3{side}_t{t.id}" for t in trucks for side in "se"],
+               [Sense.EQ] * (2 * m), [1.0] * (2 * m), [nn - 1] * (2 * m),
+               place(offsets, [X], fleet), [1.0] * (m * len(offsets)))
     # each pickup node visited at most once, over all trucks
     width = m * (nn - 1)
     b.add_rows([f"ca4_d{d}" for d in range(1, n + 1)], [Sense.LE] * n, [1.0] * n,
                [width] * n,
-               [bases[t.id][X] + j for d in range(1, n + 1) for t in trucks
+               [bases[X] + j for d in range(1, n + 1) for bases in fleet
                 for j in into[d]],
                [1.0] * (width * n))
     # pickup and dropoff of one request stay on the same truck
-    flow_coefs = [1.0] * (nn - 1) + [-1.0] * (nn - 1)
     offsets = [j for o in range(1, n + 1) for j in out_of[o] + out_of[o + n]]
-    for t in trucks:
-        b.add_rows([f"ca5_t{t.id}_o{o}" for o in range(1, n + 1)], [Sense.EQ] * n,
-                   [0.0] * n, [2 * nn - 2] * n,
-                   place(offsets, [X], bases[t.id]), flow_coefs * n)
+    b.add_rows([f"ca5_t{t.id}_o{o}" for t in trucks for o in range(1, n + 1)],
+               [Sense.EQ] * (m * n), [0.0] * (m * n), [2 * nn - 2] * (m * n),
+               place(offsets, [X], fleet),
+               ([1.0] * (nn - 1) + [-1.0] * (nn - 1)) * (m * n))
     # flow conservation at every pickup/dropoff node
     offsets = [j for v in range(1, end) for j in out_of[v] + into[v]]
-    for t in trucks:
-        b.add_rows([f"ca6_t{t.id}_v{v}" for v in range(1, end)],
-                   [Sense.EQ] * (2 * n), [0.0] * (2 * n), [2 * nn - 2] * (2 * n),
-                   place(offsets, [X], bases[t.id]), flow_coefs * (2 * n))
+    b.add_rows([f"ca6_t{t.id}_v{v}" for t in trucks for v in range(1, end)],
+               [Sense.EQ] * (2 * m * n), [0.0] * (2 * m * n),
+               [2 * nn - 2] * (2 * m * n),
+               place(offsets, [X], fleet),
+               ([1.0] * (nn - 1) + [-1.0] * (nn - 1)) * (2 * m * n))
     # MTZ ordering over all ordered node pairs: u_d - u_o - N x_od >= 1 - N
     pair_offsets = list(chain.from_iterable((d, o, o * nn + d) for o, d in pairs))
-    for t in trucks:
-        prefix = f"ca7_t{t.id}"
-        b.add_rows([prefix + suffix for suffix in pair_suffix],
-                   [Sense.GE] * k, [1.0 - nn] * k, [3] * k,
-                   place(pair_offsets, [U, U, X], bases[t.id]),
-                   [1.0, -1.0, -float(nn)] * k)
+    b.add_rows([prefix + suffix for prefix in [f"ca7_t{t.id}" for t in trucks]
+                for suffix in pair_suffix],
+               [Sense.GE] * (m * k), [1.0 - nn] * (m * k), [3] * (m * k),
+               place(pair_offsets, [U, U, X], fleet), [1.0, -1.0, -float(nn)] * (m * k))
     # loading before unloading, per request (integer-gap form)
     load_offsets = [j for r in range(1, n + 1) for j in (r + n, r)]
-    for t in trucks:
-        b.add_rows([f"ca8_t{t.id}_r{r - 1}" for r in range(1, n + 1)],
-                   [Sense.GE] * n, [1.0] * n, [2] * n,
-                   place(load_offsets, [U, U], bases[t.id]), [1.0, -1.0] * n)
+    b.add_rows([f"ca8_t{t.id}_r{r - 1}" for t in trucks for r in range(1, n + 1)],
+               [Sense.GE] * (m * n), [1.0] * (m * n), [2] * (m * n),
+               place(load_offsets, [U, U], fleet), [1.0, -1.0] * (m * n))
     # load propagation along traversed arcs; an unreachable target keeps its
     # row (arcs there are already barred) but with the volume zeroed so the
     # relaxed h box cannot make the vacuous case contradictory; the terms are
     # laid out as in ca7: h_d - h_o - capacity x_od
-    for t in trucks:
-        bar_t = barred[t.id]
-        rhs_of = [float((0 if bar_t[d] else volume_of[d]) - t.capacity)
-                  for d in nodes]
-        prefix = f"ca9_t{t.id}"
-        b.add_rows([prefix + suffix for suffix in pair_suffix],
-                   [Sense.GE] * k, [rhs_of[d] for _, d in pairs], [3] * k,
-                   place(pair_offsets, [H, H, X], bases[t.id]),
-                   [1.0, -1.0, -float(t.capacity)] * k)
+    rhs_of = [[float((0 if bar[d] else volume_of[d]) - t.capacity) for d in nodes]
+              for t, bar in zip(trucks, barred)]
+    b.add_rows([prefix + suffix for prefix in [f"ca9_t{t.id}" for t in trucks]
+                for suffix in pair_suffix],
+               [Sense.GE] * (m * k), [rhs[d] for rhs in rhs_of for _, d in pairs],
+               [3] * (m * k), place(pair_offsets, [H, H, X], fleet),
+               list(chain.from_iterable([1.0, -1.0, -float(t.capacity)] * k
+                                        for t in trucks)))
     return RequestEncoding(model=b.build(), graph_map=gmap, instance=instance)
 
 

@@ -9,6 +9,7 @@ import csv
 import functools
 import io
 import itertools
+import math
 import os
 import shlex
 import signal
@@ -539,7 +540,9 @@ def records_to_csv(records: list[BenchRecord]) -> str:
 def records_from_csv(text: str) -> list[BenchRecord]:
     """The records of a bench CSV as records_to_csv writes it; raises
     ValueError naming a missing column, or the line of a row with more or
-    fewer fields than the header or with a bad value."""
+    fewer fields than the header or with a bad value: one that does not
+    parse, a k, objective or wall time that is not finite, or a negative
+    wall time."""
     reader = csv.DictReader(io.StringIO(text))
     for name in CSV_HEADER:
         if name not in (reader.fieldnames or ()):
@@ -552,13 +555,21 @@ def records_from_csv(text: str) -> list[BenchRecord]:
             if None in row or None in row.values():
                 raise ValueError(f"{'more' if None in row else 'fewer'} fields "
                                  "than the header")
-            records.append(BenchRecord(
+            record = BenchRecord(
                 sample=row["sample"], k=float(row["k"]), m=int(row["m"]), n=int(row["n"]),
                 formulation=row["formulation"], num_vars=int(row["num_vars"]),
                 num_rows=int(row["num_rows"]), status=row["status"],
                 objective=float(row["objective"]) if row["objective"] else None,
                 wall_time_s=float(row["wall_time_s"]) if row["wall_time_s"] else None,
-                seed=int(row["seed"])))
+                seed=int(row["seed"]))
+            # a NaN k would also slip past the report's repeated-cell refusal
+            for name in ("k", "objective", "wall_time_s"):
+                value = getattr(record, name)
+                if value is not None and not math.isfinite(value):
+                    raise ValueError(f"{name} {row[name]!r} is not finite")
+            if (record.wall_time_s or 0.0) < 0:
+                raise ValueError(f"wall_time_s {row['wall_time_s']!r} is negative")
+            records.append(record)
         except ValueError as exc:
             raise ValueError(f"line {reader.line_num}: {exc}") from None
     return records

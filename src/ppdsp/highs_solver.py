@@ -13,7 +13,10 @@ Infeasible or Error wins; else, once both end, one with an incumbent beats
 one without, and then the smaller gap wins. So which of several optimal
 plans, or which incumbent at a limit, comes back can differ between runs.
 One copy, with seed 0, runs on one CPU, in a process that had loaded the
-HiGHS binding before main, and in solve_lp.
+HiGHS binding before main, and in solve_lp. The copies answer into
+SOLUTION.sol.seed0 and .seed1 and are cleaned up on every exit but one: a
+SIGKILL to the child alone ends its copies too (on Linux), but leaves
+their files behind.
 
 The solution file starts with '# status <Status>' and '# objective <value>'
 comment lines and, after a branch-and-bound run, '# gap', '# dual_bound' (in
@@ -409,17 +412,25 @@ def _race(model_path: str, solution_path: str, clamps, time_limit_s) -> bool:
     """Races a forked HiGHS copy per seed in _SEEDS, each answering into its
     own file beside the solution file, and moves the winner's answer to
     `solution_path`; False if none answered. No copy or file of a copy
-    outlives the call, Ctrl-C or a SIGTERM (as `timeout` sends) included."""
+    outlives the call, Ctrl-C or a SIGTERM (as `timeout` sends) included.
+    A SIGKILL to this process alone ends the copies too, on Linux, but
+    leaves their files."""
     parts = [f"{solution_path}.seed{seed}" for seed in _SEEDS]
     workers: dict[int, str] = {}  # pid -> its copy's answer file
     best, best_rank = None, ()
     on_term = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
+    parent = os.getpid()
     try:
         for seed, part in zip(_SEEDS, parts):
             open(part, "w").close()  # an unwritable place is refused before a fork
             if (pid := os.fork()) == 0:  # the copy, which skips the parent's cleanup
                 signal.signal(signal.SIGTERM, on_term)
                 try:
+                    if sys.platform == "linux":  # die with a parent killed outright
+                        import ctypes  # here, so the parent imports no more
+                        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+                    if os.getppid() != parent:  # it died before the prctl
+                        os._exit(1)
                     _write_answer(part, _solve_seed(model_path, clamps, time_limit_s, seed))
                     os._exit(0)
                 finally:

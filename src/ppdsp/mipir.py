@@ -2,10 +2,10 @@
 
 A model is held in columns: one sequence per variable attribute, and the
 rows as compressed sparse rows (row offsets into column-index and
-coefficient sequences). Encoders fill whole families of variables and rows
-at once through ModelBuilder.add_variables and add_rows, which refer to
-variables by column index; place lays out the column indices of a row
-family. The model is validated once, when it is built.
+coefficient sequences). Encoders fill each family of variables or rows for
+every truck with one ModelBuilder.add_variables or add_rows call, which
+refer to variables by column index; place lays out a row family's columns
+truck after truck. The model is validated once, when it is built.
 
 ModelBuilder keeps the row offsets and column indices as array('i') and the
 objective as array('d'): these hold one distinct number per entry, which a
@@ -147,14 +147,15 @@ class MipModel:
 
 
 def place(offsets: Sequence[int], families: Sequence[int],
-          bases: Sequence[int]) -> Iterator[int]:
-    """Column indices of terms laid out as family-relative offsets.
+          fleet: Iterable[Sequence[int]]) -> Iterator[int]:
+    """Column indices of a row family's terms, laid out as family-relative
+    offsets, for a whole fleet: truck 0's columns, then truck 1's, and so on.
 
-    The k-th term belongs to family families[k % len(families)] and is
-    column bases[family] + offsets[k]. One layout serves every truck of a
-    row family; only the bases change.
+    fleet holds one bases sequence per truck. For a truck, the k-th term is
+    column bases[families[k % len(families)]] + offsets[k].
     """
-    return map(add, offsets, cycle([bases[f] for f in families]))
+    return chain.from_iterable(map(add, offsets, cycle([bases[f] for f in families]))
+                               for bases in fleet)
 
 
 class ModelBuilder:

@@ -575,6 +575,21 @@ class TestInputErrors:
         assert main(["report", "--csv", str(csv_path)]) == 2
         one_reason_line(capsys, f"{csv_path}: line 3: {reason} fields than the header")
 
+    @pytest.mark.parametrize("column, value, reason", [
+        ("k", "nan", "is not finite"), ("k", "inf", "is not finite"),
+        ("objective", "nan", "is not finite"), ("objective", "-inf", "is not finite"),
+        ("wall_time_s", "nan", "is not finite"), ("wall_time_s", "-1", "is negative"),
+    ])
+    def test_report_csv_number_out_of_range(self, column, value, reason, tmp_path, capsys):
+        fields = dict(zip(harness.CSV_HEADER, "burma14,1,2,7,location,458,1041,"
+                                              "Optimal,12.5,0.5,0".split(",")))
+        fields[column] = value
+        csv_path = tmp_path / "bench.csv"
+        csv_path.write_text(",".join(harness.CSV_HEADER) + "\n"
+                            + ",".join(fields.values()) + "\n")
+        assert main(["report", "--csv", str(csv_path)]) == 2
+        one_reason_line(capsys, f"{csv_path}: line 2: {column} '{value}' {reason}")
+
 
 def json_paths(node, prefix=()):
     """The key path of every value inside a JSON document, depth first."""

@@ -1,10 +1,12 @@
+import hashlib
+
 import pytest
 
 from conftest import columns_of
-from ppdsp.enc_location import DecodeError, x_name
+from ppdsp.enc_location import DecodeError, encode_location, x_name
 from ppdsp.enc_request import (build_graph_map, decode_request, encode_request,
                                predicted_counts_request)
-from ppdsp.instgen import grid_instance
+from ppdsp.instgen import generate_family, grid_instance
 from ppdsp.mipir import census, emit_lp
 
 
@@ -84,6 +86,36 @@ class TestModelShape:
         a = emit_lp(encode_request(golden_instance).model)
         b = emit_lp(encode_request(golden_instance).model)
         assert a == b
+
+
+class TestLpBytes:
+    """Both encoders' LP text, pinned by digest: m = 2 and 3, and the u and h
+    families with and without a depot copy."""
+
+    INSTANCES = {
+        "golden": lambda request: request.getfixturevalue("golden_instance"),
+        "grid-6-5-3": lambda request: grid_instance(6, 5, 3),
+        "burma14-k3-m2": lambda request: generate_family(
+            request.getfixturevalue("burma14"), [3], 2, 0)[3],
+    }
+
+    @pytest.mark.parametrize("name, encode, digest", [
+        ("golden", encode_location,
+         "8e22f6e0c6a6259006df346d74ac6e54d86fbda35934495ab0c23b41f03a8334"),
+        ("golden", encode_request,
+         "aab0bd453984e73802b43613a772596136edf05f02884de4e451f2bd3dc4d122"),
+        ("grid-6-5-3", encode_location,
+         "ff5c6f30a07c85c1b0ffd8c767533521e71db8697a540f097d034c223647f354"),
+        ("grid-6-5-3", encode_request,
+         "665625a60ce8ba9521ec919f80e7ce9bed24ab476e0bae4b7cb8eaf9f7cb715d"),
+        ("burma14-k3-m2", encode_location,
+         "3c183477641ec52ff9ff4bb87da6099bc86e0fb2b3af163d93695de1d9ac33b7"),
+        ("burma14-k3-m2", encode_request,
+         "a07fdf895f2444addba2f03031c8f3615fc3eedbdbc36807dcc7be2607337b31"),
+    ], ids=[f"{name}-{form}" for name in INSTANCES for form in ("loc", "req")])
+    def test_lp_digest(self, request, name, encode, digest):
+        text = emit_lp(encode(self.INSTANCES[name](request)).model)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def assignment_for_paths(encoding, paths):

@@ -919,6 +919,41 @@ class TestRace:
             os.killpg(proc.pid, 0)
         assert os.listdir(out) == []
 
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU runs no race")
+    @pytest.mark.skipif(sys.platform != "linux", reason="a parent-death signal is Linux's")
+    def test_copies_die_with_a_killed_child(self, tmp_path, burma14):
+        # a SIGKILL to the child alone skips its cleanup; the copies still end
+        model = tmp_path / "model.lp"
+        model.write_text(emit_lp(encode_request(generate_family(burma14, [1], 1, 0)[1]).model))
+        out = tmp_path / "out"
+        out.mkdir()
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ppdsp.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ppdsp.highs_solver", str(model), str(out / "solution.sol")],
+            env={**os.environ, "PYTHONPATH": src}, stderr=subprocess.DEVNULL,
+            start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while len(os.listdir(out)) < 2 and proc.poll() is None:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            assert proc.poll() is None, "the child ended before its race began"
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=60)
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline:
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    break
+                time.sleep(0.01)
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=60)
+
     def test_the_seeds_give_the_copies_different_searches(self, tmp_path):
         model = tmp_path / "model.lp"
         model.write_text(emit_lp(encode_request(small_random_instance(2)).model))

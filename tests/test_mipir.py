@@ -262,7 +262,7 @@ class TestBuildValidation:
         bulk.add_variables(["u"], VarKind.INTEGER, [0.0], [4.0], [0.0])
         bulk.add_variables(["h"], VarKind.CONTINUOUS, [1.0], [6.0], [0.0])
         bases = [first, first + 2]  # family 0: x1, x2; family 1: u, h
-        cols = list(place([0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 1, 1], bases))
+        cols = list(place([0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 1, 1], [bases]))
         assert cols == list(tiny_model().cols) == [0, 1, 2, 0, 3, 2]
         bulk.add_rows(["r1", "r2", "r3"], [Sense.LE, Sense.GE, Sense.EQ],
                       [1.0, -4.0, 1.0], [2, 2, 2], cols,
