@@ -13,10 +13,8 @@ Infeasible or Error wins; else, once both end, one with an incumbent beats
 one without, and then the smaller gap wins. So which of several optimal
 plans, or which incumbent at a limit, comes back can differ between runs.
 One copy, with seed 0, runs on one CPU, in a process that had loaded the
-HiGHS binding before main, and in solve_lp. The copies answer into
-SOLUTION.sol.seed0 and .seed1 and are cleaned up on every exit but one: a
-SIGKILL to the child alone ends its copies too (on Linux), but leaves
-their files behind.
+HiGHS binding before main, and in solve_lp. A copy hands its answer back
+in memory, so the child writes SOLUTION.sol and no other file.
 
 The solution file starts with '# status <Status>' and '# objective <value>'
 comment lines and, after a branch-and-bound run, '# gap', '# dual_bound' (in
@@ -47,11 +45,12 @@ from __future__ import annotations
 import gc
 import importlib.machinery
 import importlib.util
+import marshal
 import os
 import re
 import signal
 import sys
-from itertools import chain, takewhile
+from itertools import chain
 from math import inf, isnan
 
 SECTIONS = ("maximize", "minimize", "subject to", "bounds", "generals",
@@ -299,7 +298,7 @@ def _highs():
         spec = finder.find_spec(_BINDING)
     if spec is None:
         raise SolverMissing(f"scipy's HiGHS binding {_BINDING} was not found; "
-                            "ppdsp-highs needs scipy>=1.17")
+                            "ppdsp-highs needs Python>=3.11 and scipy>=1.17")
     try:
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
@@ -408,21 +407,20 @@ def _write_answer(path: str, answer) -> None:
                 fh.write(f"{name} {value!r}\n")
 
 
-def _race(model_path: str, solution_path: str, clamps, time_limit_s) -> bool:
-    """Races a forked HiGHS copy per seed in _SEEDS, each answering into its
-    own file beside the solution file, and moves the winner's answer to
-    `solution_path`; False if none answered. No copy or file of a copy
-    outlives the call, Ctrl-C or a SIGTERM (as `timeout` sends) included.
-    A SIGKILL to this process alone ends the copies too, on Linux, but
-    leaves their files."""
-    parts = [f"{solution_path}.seed{seed}" for seed in _SEEDS]
-    workers: dict[int, str] = {}  # pid -> its copy's answer file
+def _race(model_path: str, clamps, time_limit_s):
+    """Races a forked HiGHS copy per seed in _SEEDS; returns the winner's
+    answer, or None if none answered. A copy marshals its answer into a
+    memfd opened before the fork (a pipe would block a large answer before
+    its copy exits). No copy outlives the call, Ctrl-C, a SIGTERM (as
+    `timeout` sends) or, on Linux, a SIGKILL to this process included."""
+    workers = {}  # pid -> its copy's answer file
+    files = []
     best, best_rank = None, ()
     on_term = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     parent = os.getpid()
     try:
-        for seed, part in zip(_SEEDS, parts):
-            open(part, "w").close()  # an unwritable place is refused before a fork
+        for seed in _SEEDS:
+            files.append(answer_file := open(os.memfd_create("answer"), "w+b"))
             if (pid := os.fork()) == 0:  # the copy, which skips the parent's cleanup
                 signal.signal(signal.SIGTERM, on_term)
                 try:
@@ -431,38 +429,38 @@ def _race(model_path: str, solution_path: str, clamps, time_limit_s) -> bool:
                         ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
                     if os.getppid() != parent:  # it died before the prctl
                         os._exit(1)
-                    _write_answer(part, _solve_seed(model_path, clamps, time_limit_s, seed))
+                    marshal.dump(_solve_seed(model_path, clamps, time_limit_s, seed),
+                                 answer_file)
+                    answer_file.flush()
                     os._exit(0)
                 finally:
                     os._exit(1)
-            workers[pid] = part
+            workers[pid] = answer_file
         while workers and best_rank[:1] != (True,):
             pid, wait_status = os.wait()
             # None: a child that this race did not start
-            if (part := workers.pop(pid, None)) is not None and wait_status == 0:
-                with open(part) as fh:
-                    header = dict(line.split()[1:] for line in
-                                  takewhile(lambda line: line.startswith("# "), fh))
+            if (answer_file := workers.pop(pid, None)) is not None and wait_status == 0:
+                answer_file.seek(0)
+                status, objective, _, telemetry = answer = marshal.load(answer_file)
                 # a proof or a refusal ends the race; else an incumbent, then the gap
-                rank = (header["status"] in ("Optimal", "Infeasible", "Error"),
-                        "objective" in header, -float(header.get("gap", inf)))
+                rank = (status in ("Optimal", "Infeasible", "Error"),
+                        objective is not None, -telemetry.get("gap", inf))
                 if rank > best_rank:
-                    best, best_rank = part, rank
-        if best is not None:
-            os.replace(best, solution_path)
-        return best is not None
+                    best, best_rank = answer, rank
+        return best
     finally:
         for pid in workers:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for part in filter(os.path.exists, parts):
-            os.remove(part)
+        for answer_file in files:
+            answer_file.close()
         signal.signal(signal.SIGTERM, on_term)
 
 
 def main(argv: list[str] | None = None) -> int:
     # a fork would not copy the scheduler threads of a HiGHS that has run
-    race = (_BINDING not in sys.modules and hasattr(os, "sched_getaffinity")
+    race = (_BINDING not in sys.modules and hasattr(os, "memfd_create")
+            and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= len(_SEEDS))
     args = sys.argv[1:] if argv is None else argv
     if len(args) not in (2, 3):
@@ -484,11 +482,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         clamps = _binary_clamps(model_path)
         _highs()  # a missing binding is reported once, before any fork
-        if not race:
-            _write_answer(solution_path, _solve_seed(model_path, clamps, time_limit, 0))
-        elif not _race(model_path, solution_path, clamps, time_limit):
+        answer = (_race(model_path, clamps, time_limit) if race
+                  else _solve_seed(model_path, clamps, time_limit, 0))
+        if answer is None:
             print("ppdsp-highs: no HiGHS copy answered", file=sys.stderr)
             return 1
+        _write_answer(solution_path, answer)
     except (LpParseError, SolverMissing, OSError, UnicodeDecodeError) as exc:
         print(f"ppdsp-highs: {exc}", file=sys.stderr)
         return 2

@@ -575,7 +575,7 @@ class TestBinding:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
             "ppdsp-highs: scipy's HiGHS binding scipy.optimize._highspy._core was "
-            "not found; ppdsp-highs needs scipy>=1.17"]
+            "not found; ppdsp-highs needs Python>=3.11 and scipy>=1.17"]
         assert not (tmp_path / "solution.sol").exists()
 
     @pytest.mark.parametrize("first", ["binding", "scipy.optimize"])
@@ -836,6 +836,14 @@ class TestRace:
         return proc, *proc.communicate(timeout=120)
 
     @staticmethod
+    def copies(pid: int) -> list[int]:
+        """The pids of a running child's own children, its raced copies."""
+        with contextlib.suppress(FileNotFoundError):
+            with open(f"/proc/{pid}/task/{pid}/children") as fh:
+                return [int(tok) for tok in fh.read().split()]
+        return []
+
+    @staticmethod
     def header(solution) -> dict[str, str]:
         return dict(line[2:].split(" ", 1) for line in solution.read_text().splitlines()
                     if line.startswith("# "))
@@ -861,20 +869,24 @@ class TestRace:
         assert status == pinned_status == "Optimal"
         assert objective == pytest.approx(pinned_objective, rel=1e-9, abs=1e-9)
 
-    @pytest.mark.parametrize("lp, limit, statuses", [
-        (None, "60", ["Optimal"]),
-        (None, "1e-3", ["TimeLimit", "Feasible"]),
+    @pytest.mark.parametrize("lp, limit, statuses, solution", [
+        (None, "60", ["Optimal"], "solution.sol"),
+        (None, "1e-3", ["TimeLimit", "Feasible"], "solution.sol"),
         ("Maximize\n obj: x\nSubject To\n c1: x <= 1\nBounds\n x = inf\nEnd\n", "60",
-         ["Error"]),
-        ("Maximize\n obj: 3 + x\nSubject To\n c1: x <= 3\nEnd\n", "60", None),
-    ], ids=["answer", "time-limit", "refused-by-highs", "refused-by-the-check"])
-    def test_nothing_outlives_the_child(self, tmp_path, golden_instance, lp, limit, statuses):
+         ["Error"], "solution.sol"),
+        ("Maximize\n obj: 3 + x\nSubject To\n c1: x <= 3\nEnd\n", "60", None,
+         "solution.sol"),
+        (None, "60", None, os.path.join("missing", "solution.sol")),
+    ], ids=["answer", "time-limit", "refused-by-highs", "refused-by-the-check",
+            "unwritable-solution"])
+    def test_nothing_outlives_the_child(self, tmp_path, golden_instance, lp, limit, statuses,
+                                        solution):
         model = tmp_path / "model.lp"
         model.write_text(lp or emit_lp(encode_request(golden_instance).model))
         out = tmp_path / "out"
         out.mkdir()
         proc, _, err = self.child(["-m", "ppdsp.highs_solver", str(model),
-                                   str(out / "solution.sol"), limit], start_new_session=True)
+                                   str(out / solution), limit], start_new_session=True)
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
         if statuses is None:
@@ -903,7 +915,7 @@ class TestRace:
             start_new_session=True)
         try:
             deadline = time.monotonic() + 60
-            while len(os.listdir(out)) < 2 and proc.poll() is None:
+            while len(self.copies(proc.pid)) < 2 and proc.poll() is None:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
             assert proc.poll() is None, "the child ended before its race began"
@@ -934,7 +946,7 @@ class TestRace:
             start_new_session=True)
         try:
             deadline = time.monotonic() + 60
-            while len(os.listdir(out)) < 2 and proc.poll() is None:
+            while len(self.copies(proc.pid)) < 2 and proc.poll() is None:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
             assert proc.poll() is None, "the child ended before its race began"
@@ -953,6 +965,37 @@ class TestRace:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=60)
+        assert os.listdir(out) == []
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU runs no race")
+    @pytest.mark.skipif(sys.platform != "linux", reason="a child's children are listed by Linux")
+    def test_a_killed_copy_loses_without_sinking_the_solve(self, tmp_path, burma14):
+        model = tmp_path / "model.lp"
+        model.write_text(emit_lp(encode_request(generate_family(burma14, [1], 1, 0)[1]).model))
+        out = tmp_path / "out"
+        out.mkdir()
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ppdsp.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ppdsp.highs_solver", str(model), str(out / "solution.sol"),
+             "2"],
+            env={**os.environ, "PYTHONPATH": src}, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while len(pids := self.copies(proc.pid)) < 2 and proc.poll() is None:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            assert proc.poll() is None, "the child ended before its race began"
+            time.sleep(0.3)
+            os.kill(pids[0], signal.SIGKILL)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=60)
+        assert proc.returncode == 0, err
+        assert os.listdir(out) == ["solution.sol"]
+        assert self.header(out / "solution.sol")["status"] in ("Optimal", "Feasible", "TimeLimit")
 
     def test_the_seeds_give_the_copies_different_searches(self, tmp_path):
         model = tmp_path / "model.lp"
