@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Dense census sweep: encode every (|V|, n, m) triple in the box and check
 that the counted variables/rows match the closed-form predictions for both
-formulations. The acceptance suite covers exhaustive two-parameter slices of
-this box to stay inside its time budget; this script runs the full product
-(12,160 encodings; 286 s on one core of a 2-core x86-64 machine, Python 3.11).
+formulations. For the first triple that mismatches, it also prints the rows
+it counted in each row family of each mismatching model. The acceptance
+suite covers exhaustive two-parameter slices of this box to stay inside its
+time budget; this script runs the full product (12,160 encodings; 286 s on
+one core of a 2-core x86-64 machine, Python 3.11).
 
 Usage: python3 scripts/census_sweep.py [--nv 4:22] [--n 1:32] [--m 1:10]
 """
@@ -31,6 +33,7 @@ def main(argv=None) -> int:
     start = time.monotonic()
     mismatches = 0
     checked = 0
+    first = None  # the first (|V|, n, m) that mismatched
     for nv in args.nv:
         for n in args.n:
             for m in args.m:
@@ -45,6 +48,10 @@ def main(argv=None) -> int:
                     except CensusMismatch as exc:
                         mismatches += 1
                         print(f"MISMATCH {exc}")
+                        if first in (None, (nv, n, m)):  # name its families' rows
+                            first = (nv, n, m)
+                            for name, rows, _ in form.encode(inst).model.row_families:
+                                print(f"  {name}: {len(rows)} rows")
                     checked += 1
         print(f"|V|={nv} done ({checked} encodings, "
               f"{time.monotonic() - start:.0f}s)")

@@ -9,10 +9,10 @@ u is integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, permutations
 
 from .core import DeliveryRoutingSolution, Instance, TruckPlan
-from .mipir import MipModel, ModelBuilder, Sense, VarKind, place
+from .mipir import MipModel, ModelBuilder, Sense, VarKind
 
 
 class DecodeError(ValueError):
@@ -26,14 +26,6 @@ def x_name(t: int, o: int, d: int) -> str:
 
 def y_name(t: int, r: int) -> str:
     return f"y_t{t}_r{r}"
-
-
-def u_name(t: int, v: int) -> str:
-    return f"u_t{t}_v{v}"
-
-
-def h_name(t: int, v: int) -> str:
-    return f"h_t{t}_v{v}"
 
 
 @dataclass(frozen=True)
@@ -78,7 +70,6 @@ def encode_location(instance: Instance) -> LocationEncoding:
     # ordered pairs of distinct non-depot nodes: the index set of c8 and c10
     pairs = [(o, d) for o in range(1, nv) for d in range(1, nv) if o != d]
     pair_suffix = [arc_suffix[o * nv + d] for o, d in pairs]
-    k = len(pairs)
     b = ModelBuilder()
 
     # objective: payments on y minus arc costs on x; diagonal arcs fixed to 0
@@ -91,58 +82,50 @@ def encode_location(instance: Instance) -> LocationEncoding:
         [y_name(t.id, r.id) for t in trucks for r in requests], VarKind.BINARY,
         [0.0] * (m * n), [1.0] * (m * n), [r.w for r in requests] * m)
     # u and h have no depot copy; their bases sit one back, so offset v is node v
-    u0 = b.add_variables(
-        [u_name(t.id, v) for t in trucks for v in range(1, nv)], VarKind.INTEGER,
-        [0.0] * (m * (nv - 1)), [nv - 2] * (m * (nv - 1)), [0.0] * (m * (nv - 1))) - 1
-    h0 = b.add_variables(
-        [h_name(t.id, v) for t in trucks for v in range(1, nv)], VarKind.CONTINUOUS,
-        [0.0] * (m * (nv - 1)), [t.capacity for t in trucks for _ in range(1, nv)],
-        [0.0] * (m * (nv - 1))) - 1
+    zeros = [0.0] * (m * (nv - 1))
+    u0 = b.add_variables([f"u_t{t.id}_v{v}" for t in trucks for v in range(1, nv)],
+                         VarKind.INTEGER, zeros, [nv - 2] * len(zeros), zeros) - 1
+    h0 = b.add_variables([f"h_t{t.id}_v{v}" for t in trucks for v in range(1, nv)],
+                         VarKind.CONTINUOUS, zeros,
+                         [t.capacity for t in trucks for _ in range(1, nv)], zeros) - 1
     fleet = [[x0 + i * nv * nv, y0 + i * n, u0 + i * (nv - 1), h0 + i * (nv - 1)]
              for i in range(m)]
 
     # each request to at most one truck
-    b.add_rows([f"c3_r{r.id}" for r in requests], [Sense.LE] * n, [1.0] * n,
-               [m] * n, [bases[Y] + i for i in range(n) for bases in fleet],
-               [1.0] * (m * n))
+    b.add_rows([f"c3_r{r.id}" for r in requests], [Sense.LE] * n, [1.0] * n, [m] * n,
+               [bases[Y] + i for i in range(n) for bases in fleet], [1.0] * (m * n), "c3")
+
+    def per_truck(*heads: str) -> list[list[str]]:
+        return [[f"{head}_t{t.id}" for head in heads] for t in trucks]
+    by_request = [f"_r{r.id}" for r in requests]
+    by_node = [f"_o{o}" for o in nodes]
     # serving a request forces a visit of its pickup and its dropoff:
     # y - (arcs into the stop) <= 0
     for family, stops in (("c4", [r.pickup for r in requests]),
                           ("c5", [r.dropoff for r in requests])):
         offsets = [j for i, v in enumerate(stops) for j in [i] + into[v]]
-        b.add_rows([f"{family}_t{t.id}_r{r.id}" for t in trucks for r in requests],
-                   [Sense.LE] * (m * n), [0.0] * (m * n), [nv] * (m * n),
-                   place(offsets, [Y] + [X] * (nv - 1), fleet),
-                   ([1.0] + [-1.0] * (nv - 1)) * (m * n))
+        b.add_family(family, per_truck(family), by_request, [Sense.LE], [0.0], [nv],
+                     offsets, [Y] + [X] * (nv - 1), fleet, [1.0] + [-1.0] * (nv - 1))
     # flow conservation and at most one departure per location
     offsets = [j for o in nodes for j in out_of[o] + into[o]]
-    b.add_rows([f"c6_t{t.id}_o{o}" for t in trucks for o in nodes],
-               [Sense.EQ] * (m * nv), [0.0] * (m * nv), [2 * (nv - 1)] * (m * nv),
-               place(offsets, [X], fleet),
-               ([1.0] * (nv - 1) + [-1.0] * (nv - 1)) * (m * nv))
-    offsets = list(chain.from_iterable(out_of))
-    b.add_rows([f"c7_t{t.id}_o{o}" for t in trucks for o in nodes],
-               [Sense.LE] * (m * nv), [1.0] * (m * nv), [nv - 1] * (m * nv),
-               place(offsets, [X], fleet), [1.0] * (m * len(offsets)))
+    b.add_family("c6", per_truck("c6"), by_node, [Sense.EQ], [0.0], [2 * (nv - 1)], offsets,
+                 [X], fleet, [1.0] * (nv - 1) + [-1.0] * (nv - 1))
+    b.add_family("c7", per_truck("c7"), by_node, [Sense.LE], [1.0], [nv - 1],
+                 list(chain.from_iterable(out_of)), [X], fleet, [1.0])
     # MTZ ordering over non-depot pairs: u_d - u_o - |V| x_od >= 1 - |V|
     offsets = list(chain.from_iterable((d, o, o * nv + d) for o, d in pairs))
-    b.add_rows([prefix + suffix for prefix in [f"c8_t{t.id}" for t in trucks]
-                for suffix in pair_suffix],
-               [Sense.GE] * (m * k), [1.0 - nv] * (m * k), [3] * (m * k),
-               place(offsets, [U, U, X], fleet), [1.0, -1.0, -float(nv)] * (m * k))
+    b.add_family("c8", per_truck("c8"), pair_suffix, [Sense.GE], [1.0 - nv], [3], offsets,
+                 [U, U, X], fleet, [1.0, -1.0, -float(nv)])
     # pickup order precedes dropoff order when assigned (integer-gap rewrite)
     offsets = [j for i, r in enumerate(requests) for j in (r.pickup, r.dropoff, i)]
-    b.add_rows([f"c9_t{t.id}_r{r.id}" for t in trucks for r in requests],
-               [Sense.LE] * (m * n), [nv - 1.0] * (m * n), [3] * (m * n),
-               place(offsets, [U, U, Y], fleet), [1.0, -1.0, float(nv)] * (m * n))
+    b.add_family("c9", per_truck("c9"), by_request, [Sense.LE], [nv - 1.0], [3], offsets,
+                 [U, U, Y], fleet, [1.0, -1.0, float(nv)])
     # load propagation along traversed arcs, big-M pair per ordered pair; the
     # net load change at the destination is shared by every origin
     gamma_of = [[i for i, r in enumerate(requests) if r.pickup == d]
-                + [i for i, r in enumerate(requests) if r.dropoff == d]
-                for d in nodes]
+                + [i for i, r in enumerate(requests) if r.dropoff == d] for d in nodes]
     gamma_coefs = [[-float(r.q) for r in requests if r.pickup == d]
-                   + [float(r.q) for r in requests if r.dropoff == d]
-                   for d in nodes]
+                   + [float(r.q) for r in requests if r.dropoff == d] for d in nodes]
     # c10a and c10b share their terms; each row ends in its big-M coefficient
     offsets, families, lengths = [], [], []
     for o, d in pairs:
@@ -151,40 +134,34 @@ def encode_location(instance: Instance) -> LocationEncoding:
         families += ([H, H] + [Y] * len(gamma_of[d]) + [X]) * 2
         lengths += [len(row_offsets)] * 2
     total_volume = sum(r.q for r in requests)
-    big_m_of = [float(t.capacity + total_volume) for t in trucks]
-    b.add_rows([f"c10{half}_t{t.id}{suffix}" for t in trucks for suffix in pair_suffix
-                for half in "ab"],
-               [Sense.LE, Sense.GE] * (m * k),
-               list(chain.from_iterable([big_m, -big_m] * k for big_m in big_m_of)),
-               lengths * m, place(offsets, families, fleet),
-               [c for big_m in big_m_of for _, d in pairs for end in (big_m, -big_m)
-                for c in (1.0, -1.0, *gamma_coefs[d], end)])
+    big_m = [float(t.capacity + total_volume) for t in trucks]
+    b.add_family("c10", per_truck("c10a", "c10b"), [s for s in pair_suffix for _ in "ab"],
+                 [Sense.LE, Sense.GE], [x for bm in big_m for x in [bm, -bm] * len(pairs)],
+                 lengths, offsets, families, fleet,
+                 [c for bm in big_m for _, d in pairs for end in (bm, -bm)
+                  for c in (1.0, -1.0, *gamma_coefs[d], end)])
     return LocationEncoding(model=b.build(), instance=instance)
 
 
 INT_TOL = 1e-6
 
 
-def _as_bit(name: str, value: float) -> int:
-    if abs(value) <= INT_TOL:
-        return 0
-    if abs(value - 1.0) <= INT_TOL:
-        return 1
-    raise DecodeError(f"{name} = {value} is not integral")
+def _as_bit(assignment: dict[str, float], name: str) -> int:
+    value = assignment.get(name, 0.0)
+    if not (abs(value) <= INT_TOL or abs(value - 1.0) <= INT_TOL):
+        raise DecodeError(f"{name} = {value} is not integral")
+    return int(abs(value) > INT_TOL)
 
 
 def arc_successors(t: int, num_nodes: int, assignment: dict[str, float]
                    ) -> dict[int, int]:
     """The destination of each of truck t's arcs set to 1, by origin."""
     successor: dict[int, int] = {}
-    for o in range(num_nodes):
-        for d in range(num_nodes):
-            if o == d:
-                continue
-            if _as_bit(x_name(t, o, d), assignment.get(x_name(t, o, d), 0.0)):
-                if o in successor:
-                    raise DecodeError(f"truck {t}: two departures from node {o}")
-                successor[o] = d
+    for o, d in permutations(range(num_nodes), 2):
+        if _as_bit(assignment, x_name(t, o, d)):
+            if o in successor:
+                raise DecodeError(f"truck {t}: two departures from node {o}")
+            successor[o] = d
     return successor
 
 
@@ -215,9 +192,8 @@ def decode_location(encoding: LocationEncoding,
     nv = instance.graph.num_nodes
     plans = []
     for t in instance.trucks:
-        delivery = frozenset(
-            r.id for r in instance.requests
-            if _as_bit(y_name(t.id, r.id), assignment.get(y_name(t.id, r.id), 0.0)))
+        delivery = frozenset(r.id for r in instance.requests
+                             if _as_bit(assignment, y_name(t.id, r.id)))
         successor = arc_successors(t.id, nv, assignment)
         if not successor and delivery:
             raise DecodeError(f"truck {t.id}: requests assigned but no arcs")

@@ -15,9 +15,9 @@ from itertools import chain, groupby
 from operator import sub
 
 from .core import DeliveryRoutingSolution, Instance, TruckPlan
-# the variable names and the decode steps are those of the location model
-from .enc_location import arc_layout, arc_successors, h_name, u_name, walk
-from .mipir import MipModel, ModelBuilder, Sense, VarKind, place
+# the arc layout, the variable names and the decode steps of the location model
+from .enc_location import arc_layout, arc_successors, walk
+from .mipir import MipModel, ModelBuilder, Sense, VarKind
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,7 @@ def build_graph_map(instance: Instance) -> RequestGraphMap:
     requests = instance.requests  # in id order, so node r.id + 1 is r's pickup
     return RequestGraphMap(
         num_requests=len(requests),
-        location_of=(0, *(r.pickup for r in requests),
-                     *(r.dropoff for r in requests), 0),
+        location_of=(0, *(r.pickup for r in requests), *(r.dropoff for r in requests), 0),
         volume_of=(0, *(r.q for r in requests), *(-r.q for r in requests), 0))
 
 
@@ -96,7 +95,6 @@ def encode_request(instance: Instance) -> RequestEncoding:
     # ordered pairs of distinct nodes: the index set of ca7 and ca9
     pairs = [(o, d) for o, d in arcs if o != d]
     pair_suffix = [arc_suffix[o * nn + d] for o, d in pairs]
-    k = len(pairs)
     b = ModelBuilder()
 
     # nodes whose load change alone overflows a truck are unreachable for it;
@@ -113,8 +111,7 @@ def encode_request(instance: Instance) -> RequestEncoding:
     loc = gmap.location_of
     nv = instance.graph.num_nodes
     physical = [loc[o] * nv + loc[d] for o, d in arcs]
-    flat_costs = ([cost for row in instance.arc_costs(t) for cost in row]
-                  for t in trucks)
+    flat_costs = ([cost for row in instance.arc_costs(t) for cost in row] for t in trucks)
     x0 = b.add_variables(
         [prefix + suffix for prefix in [f"x_t{t.id}" for t in trucks]
          for suffix in arc_suffix], VarKind.BINARY, [0.0] * (m * nn * nn),
@@ -123,66 +120,51 @@ def encode_request(instance: Instance) -> RequestEncoding:
         list(chain.from_iterable(map(sub, w_arcs, map(flat.__getitem__, physical))
                                  for flat in flat_costs)))
     u0 = b.add_variables(
-        [u_name(t.id, v) for t in trucks for v in nodes], VarKind.INTEGER,
+        [f"u_t{t.id}_v{v}" for t in trucks for v in nodes], VarKind.INTEGER,
         [0.0] * (m * nn), [nn - 1] * (m * nn), [0.0] * (m * nn))
     h0 = b.add_variables(
-        [h_name(t.id, v) for t in trucks for v in nodes], VarKind.CONTINUOUS,
-        [0.0 if bar[v] else float(max(0, volume_of[v]))
-         for bar in barred for v in nodes],
-        [float(t.capacity) if bar[v]
-         else float(min(t.capacity, t.capacity + volume_of[v]))
-         for t, bar in zip(trucks, barred) for v in nodes],
-        [0.0] * (m * nn))
+        [f"h_t{t.id}_v{v}" for t in trucks for v in nodes], VarKind.CONTINUOUS,
+        [0.0 if bar[v] else float(max(0, volume_of[v])) for bar in barred for v in nodes],
+        [float(t.capacity) if bar[v] else float(min(t.capacity, t.capacity + volume_of[v]))
+         for t, bar in zip(trucks, barred) for v in nodes], [0.0] * (m * nn))
     fleet = [[x0 + i * nn * nn, u0 + i * nn, h0 + i * nn] for i in range(m)]
 
+    def per_truck(*heads: str) -> list[list[str]]:
+        return [[f"{head}_t{t.id}" for head in heads] for t in trucks]
+    pickups = range(1, n + 1)
     # every route leaves the start depot once and enters the end depot once
-    offsets = out_of[0] + into[end]
-    b.add_rows([f"ca3{side}_t{t.id}" for t in trucks for side in "se"],
-               [Sense.EQ] * (2 * m), [1.0] * (2 * m), [nn - 1] * (2 * m),
-               place(offsets, [X], fleet), [1.0] * (m * len(offsets)))
+    b.add_family("ca3", per_truck("ca3s", "ca3e"), ["", ""], [Sense.EQ], [1.0], [nn - 1],
+                 out_of[0] + into[end], [X], fleet, [1.0])
     # each pickup node visited at most once, over all trucks
     width = m * (nn - 1)
-    b.add_rows([f"ca4_d{d}" for d in range(1, n + 1)], [Sense.LE] * n, [1.0] * n,
-               [width] * n,
-               [bases[X] + j for d in range(1, n + 1) for bases in fleet
-                for j in into[d]],
-               [1.0] * (width * n))
+    b.add_rows([f"ca4_d{d}" for d in pickups], [Sense.LE] * n, [1.0] * n, [width] * n,
+               [bases[X] + j for d in pickups for bases in fleet for j in into[d]],
+               [1.0] * (width * n), "ca4")
     # pickup and dropoff of one request stay on the same truck
-    offsets = [j for o in range(1, n + 1) for j in out_of[o] + out_of[o + n]]
-    b.add_rows([f"ca5_t{t.id}_o{o}" for t in trucks for o in range(1, n + 1)],
-               [Sense.EQ] * (m * n), [0.0] * (m * n), [2 * nn - 2] * (m * n),
-               place(offsets, [X], fleet),
-               ([1.0] * (nn - 1) + [-1.0] * (nn - 1)) * (m * n))
+    offsets = [j for o in pickups for j in out_of[o] + out_of[o + n]]
+    b.add_family("ca5", per_truck("ca5"), [f"_o{o}" for o in pickups], [Sense.EQ], [0.0],
+                 [2 * nn - 2], offsets, [X], fleet, [1.0] * (nn - 1) + [-1.0] * (nn - 1))
     # flow conservation at every pickup/dropoff node
     offsets = [j for v in range(1, end) for j in out_of[v] + into[v]]
-    b.add_rows([f"ca6_t{t.id}_v{v}" for t in trucks for v in range(1, end)],
-               [Sense.EQ] * (2 * m * n), [0.0] * (2 * m * n),
-               [2 * nn - 2] * (2 * m * n),
-               place(offsets, [X], fleet),
-               ([1.0] * (nn - 1) + [-1.0] * (nn - 1)) * (2 * m * n))
+    b.add_family("ca6", per_truck("ca6"), [f"_v{v}" for v in nodes[1:end]], [Sense.EQ], [0.0],
+                 [2 * nn - 2], offsets, [X], fleet, [1.0] * (nn - 1) + [-1.0] * (nn - 1))
     # MTZ ordering over all ordered node pairs: u_d - u_o - N x_od >= 1 - N
     pair_offsets = list(chain.from_iterable((d, o, o * nn + d) for o, d in pairs))
-    b.add_rows([prefix + suffix for prefix in [f"ca7_t{t.id}" for t in trucks]
-                for suffix in pair_suffix],
-               [Sense.GE] * (m * k), [1.0 - nn] * (m * k), [3] * (m * k),
-               place(pair_offsets, [U, U, X], fleet), [1.0, -1.0, -float(nn)] * (m * k))
+    b.add_family("ca7", per_truck("ca7"), pair_suffix, [Sense.GE], [1.0 - nn], [3],
+                 pair_offsets, [U, U, X], fleet, [1.0, -1.0, -float(nn)])
     # loading before unloading, per request (integer-gap form)
-    load_offsets = [j for r in range(1, n + 1) for j in (r + n, r)]
-    b.add_rows([f"ca8_t{t.id}_r{r - 1}" for t in trucks for r in range(1, n + 1)],
-               [Sense.GE] * (m * n), [1.0] * (m * n), [2] * (m * n),
-               place(load_offsets, [U, U], fleet), [1.0, -1.0] * (m * n))
+    b.add_family("ca8", per_truck("ca8"), [f"_r{r - 1}" for r in pickups], [Sense.GE], [1.0],
+                 [2], [j for r in pickups for j in (r + n, r)], [U, U], fleet, [1.0, -1.0])
     # load propagation along traversed arcs; an unreachable target keeps its
     # row (arcs there are already barred) but with the volume zeroed so the
     # relaxed h box cannot make the vacuous case contradictory; the terms are
     # laid out as in ca7: h_d - h_o - capacity x_od
     rhs_of = [[float((0 if bar[d] else volume_of[d]) - t.capacity) for d in nodes]
               for t, bar in zip(trucks, barred)]
-    b.add_rows([prefix + suffix for prefix in [f"ca9_t{t.id}" for t in trucks]
-                for suffix in pair_suffix],
-               [Sense.GE] * (m * k), [rhs[d] for rhs in rhs_of for _, d in pairs],
-               [3] * (m * k), place(pair_offsets, [H, H, X], fleet),
-               list(chain.from_iterable([1.0, -1.0, -float(t.capacity)] * k
-                                        for t in trucks)))
+    b.add_family("ca9", per_truck("ca9"), pair_suffix, [Sense.GE],
+                 [rhs[d] for rhs in rhs_of for _, d in pairs], [3], pair_offsets, [H, H, X],
+                 fleet, list(chain.from_iterable(
+                     [1.0, -1.0, -float(t.capacity)] * len(pairs) for t in trucks)))
     return RequestEncoding(model=b.build(), graph_map=gmap, instance=instance)
 
 

@@ -3,14 +3,16 @@
 A model is held in columns: one sequence per variable attribute, and the
 rows as compressed sparse rows (row offsets into column-index and
 coefficient sequences). Encoders fill each family of variables or rows for
-every truck with one ModelBuilder.add_variables or add_rows call, which
-refer to variables by column index; place lays out a row family's columns
-truck after truck. The model is validated once, when it is built.
+every truck with one ModelBuilder call, which refers to variables by column
+index. The model is validated once, when it is built: ModelBuilder.add_family
+checks a row family's layout and the parts of its row names once, in one
+truck's work, and build() checks names and terms only of rows from add_rows;
+a model built directly gets every check on every row. Variables, and the
+finiteness of every coefficient and rhs, are checked over the whole model.
 
 ModelBuilder keeps the row offsets and column indices as array('i') and the
 objective as array('d'): these hold one distinct number per entry, which a
-list would keep as one Python object each. The other columns stay lists,
-whose entries repeat a few shared objects.
+list would keep as one Python object each. The other columns stay lists.
 
 Models are not changed once built (nothing writes to a model's columns);
 emission and the census are pure.
@@ -22,17 +24,21 @@ import math
 import re
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import accumulate, chain, compress, cycle, repeat
-from operator import add, gt, is_, ne, sub
+from operator import add, eq, gt, is_, ne, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 # inf, infinity and nan, in any case, would read back from LP text as numbers
 _NAME = r"(?!(?i:inf|infinity|nan)(?:\n|\Z))[A-Za-z][A-Za-z0-9_]*"
 NAME_RE = re.compile(_NAME)
-# a whole column of names joined by newlines, checked in one regex pass
-_NAMES_RE = re.compile(rf"{_NAME}(?:\n{_NAME})*")
+# a column of names, of add_family's name prefixes or of its suffixes joined
+# by newlines, matched in one pass; a prefix holding a digit or an
+# underscore starts no number word, whatever suffix follows it
+_NAMES_RE, _PREFIXES_RE, _SUFFIXES_RE = (
+    re.compile(rf"{part}(?:\n{part})*")
+    for part in (_NAME, "[A-Za-z]+[0-9_][A-Za-z0-9_]*", "[A-Za-z0-9_]*"))
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -58,10 +64,46 @@ class SolutionParseError(ValueError):
     pass
 
 
+def _all_match(pattern: re.Pattern, parts: Sequence[str]) -> bool:
+    text = "\n".join(parts)  # the count refuses a part holding a newline
+    return not parts or bool(pattern.fullmatch(text)) and text.count("\n") == len(parts) - 1
+
+
 def _check_names(names: list[str], what: str) -> None:
-    if names and not _NAMES_RE.fullmatch("\n".join(names)):
+    if not _all_match(_NAMES_RE, names):
         bad = next(name for name in names if not NAME_RE.fullmatch(name))
         raise ModelError(f"illegal {what} name {bad!r}")
+
+
+def _repeated(seq: Sequence, total: int) -> Sequence:  # len(seq) must divide total
+    if total % len(seq) if seq else total:
+        raise ModelError("row columns differ in length")
+    return seq if len(seq) == total else list(seq) * (total // len(seq))
+
+
+def _check_rows(row_names: Sequence[str], row_start: Sequence[int],
+                cols: Sequence[int], names: Sequence[str]) -> None:
+    """Of rows row_names[i], with terms cols[row_start[i]:row_start[i+1]], refuses
+    the first with none, else the first undeclared term, else the first repeat."""
+    starts, ends = row_start[:-1], row_start[1:]
+    lengths = list(map(sub, ends, starts))
+    if min(lengths, default=1) <= 0:
+        i = next(i for i, length in enumerate(lengths) if length <= 0)
+        raise ModelError(f"row {row_names[i]} has no terms")
+    terms = cols[row_start[0]:row_start[-1]]
+    if terms and (min(terms) < 0 or max(terms) >= len(names)):
+        k = row_start[0] + next(k for k, j in enumerate(terms) if not 0 <= j < len(names))
+        raise ModelError(f"row {row_names[bisect_right(starts, k) - 1]} "
+                         f"references undeclared variable {cols[k]}")
+    if (width := lengths[0] if lengths else 0) <= 3 and lengths.count(width) == len(lengths):
+        if not any(any(map(eq, terms[a::width], terms[b::width]))  # short rows: by position
+                   for b in range(width) for a in range(b)):
+            return
+    row_terms = list(map(cols.__getitem__, map(slice, starts, ends)))
+    if any(map(ne, map(len, map(set, row_terms)), lengths)):
+        i, terms = next((i, t) for i, t in enumerate(row_terms) if len(set(t)) < len(t))
+        j = next(j for k, j in enumerate(terms) if j in terms[:k])
+        raise ModelError(f"row {row_names[i]}: repeated variable {names[j]}")
 
 
 @dataclass(frozen=True)
@@ -71,9 +113,7 @@ class MipModel:
     Variable j is names[j], of kind kinds[j], within [lowers[j], uppers[j]],
     with objective coefficient objective[j]. Row i is row_names[i]: the sum
     of coefs[k] times variable cols[k] over k in row_start[i]:row_start[i+1],
-    compared by senses[i] with rhs[i]. ModelBuilder gives row_start and cols
-    as array('i') and objective as array('d'); a model given lists there is
-    checked, and refused, alike.
+    compared by senses[i] with rhs[i]. Lists and arrays are checked alike.
     """
 
     names: list[str]
@@ -87,6 +127,8 @@ class MipModel:
     row_start: Sequence[int]
     cols: Sequence[int]
     coefs: list[float]
+    # (name, rows, checked) per row family, recorded by ModelBuilder only
+    row_families: Sequence[tuple] = field(default=(), init=False, compare=False)
 
     def __post_init__(self):
         """Whole-model checks: the columns agree in length, names are legal
@@ -102,8 +144,11 @@ class MipModel:
                 and self.row_start[0] == 0 and self.row_start[-1] == len(self.cols)
                 and len(self.coefs) == len(self.cols)):
             raise ModelError("row columns differ in length")
+        unchecked = ([rows for _, rows, checked in self.row_families if not checked]
+                     if self.row_families else [range(num_rows)])
         _check_names(self.names, "variable")
-        _check_names(self.row_names, "row")
+        for rows in unchecked:
+            _check_names(self.row_names[rows.start:rows.stop], "row")
         if len(set(self.names)) != num_vars:
             raise ModelError("duplicate variable names")
         if any(map(math.isnan, chain(self.lowers, self.uppers))):
@@ -123,62 +168,32 @@ class MipModel:
         if any(map(gt, self.lowers, self.uppers)):
             j = next(j for j in range(num_vars) if self.lowers[j] > self.uppers[j])
             raise ModelError(f"variable {self.names[j]}: lower bound above upper")
-        starts, ends = self.row_start[:-1], self.row_start[1:]
-        lengths = list(map(sub, ends, starts))
-        if min(lengths, default=1) <= 0:
-            i = next(i for i, length in enumerate(lengths) if length <= 0)
-            raise ModelError(f"row {self.row_names[i]} has no terms")
-        if self.cols and (min(self.cols) < 0 or max(self.cols) >= num_vars):
-            k = next(k for k, j in enumerate(self.cols) if not 0 <= j < num_vars)
-            raise ModelError(f"row {self.row_names[bisect_right(starts, k) - 1]} "
-                             f"references undeclared variable {self.cols[k]}")
-        row_terms = map(self.cols.__getitem__, map(slice, starts, ends))
-        if any(map(ne, map(len, map(set, row_terms)), lengths)):
-            for i, (s, e) in enumerate(zip(starts, ends)):
-                terms = self.cols[s:e]
-                j = next((j for k, j in enumerate(terms) if j in terms[:k]), None)
-                if j is not None:
-                    raise ModelError(f"row {self.row_names[i]}: repeated "
-                                     f"variable {self.names[j]}")
+        for rows in unchecked:
+            _check_rows(self.row_names[rows.start:rows.stop],
+                        self.row_start[rows.start:rows.stop + 1], self.cols, self.names)
         if not all(map(math.isfinite, chain(self.coefs, self.rhs))):
-            i = next(i for i, (s, e) in enumerate(zip(starts, ends))
-                     if not all(map(math.isfinite, self.coefs[s:e] + [self.rhs[i]])))
+            i = next(i for i, (s, e) in enumerate(zip(self.row_start, self.row_start[1:]))
+                     if not all(map(math.isfinite, chain(self.coefs[s:e], [self.rhs[i]]))))
             raise ModelError(f"row {self.row_names[i]}: coefficient or rhs is not finite")
 
 
 def place(offsets: Sequence[int], families: Sequence[int],
           fleet: Iterable[Sequence[int]]) -> Iterator[int]:
-    """Column indices of a row family's terms, laid out as family-relative
-    offsets, for a whole fleet: truck 0's columns, then truck 1's, and so on.
-
-    fleet holds one bases sequence per truck. For a truck, the k-th term is
-    column bases[families[k % len(families)]] + offsets[k].
-    """
-    return chain.from_iterable(map(add, offsets, cycle([bases[f] for f in families]))
+    """Column indices of a row family's terms for each truck in turn: with
+    bases fleet[t], the k-th term is bases[families[k % len(families)]] + offsets[k]."""
+    return chain.from_iterable(map(add, offsets, cycle(map(bases.__getitem__, families)))
                                for bases in fleet)
 
 
 class ModelBuilder:
-    """Collects a model column by column; build() validates it once.
-
-    add_variables and add_rows take one sequence per column and refer to
-    variables by column index. build() hands its columns over to the model,
-    row_start and cols as array('i') and objective as array('d'), and
-    starts an empty one.
-    """
+    """Collects a model column by column, naming variables by column index;
+    build() hands the columns and row families to a model and starts anew."""
 
     def __init__(self):
-        self._names: list[str] = []
-        self._kinds: list[VarKind] = []
-        self._lowers: list[float] = []
-        self._uppers: list[float] = []
-        self._objective = array("d")
-        self._row_names: list[str] = []
-        self._senses: list[Sense] = []
-        self._rhs: list[float] = []
-        self._row_start = array("i", [0])
-        self._cols = array("i")
-        self._coefs: list[float] = []
+        self._names, self._kinds, self._lowers, self._uppers = [], [], [], []
+        self._row_names, self._senses, self._rhs, self._coefs = [], [], [], []
+        self._objective, self._row_start, self._cols = array("d"), array("i", [0]), array("i")
+        self._row_families: list[tuple[str, range, bool]] = []
 
     def add_variables(self, names: Sequence[str], kind: VarKind,
                       lowers: Sequence[float], uppers: Sequence[float],
@@ -197,14 +212,11 @@ class ModelBuilder:
 
     def add_rows(self, names: Sequence[str], senses: Sequence[Sense],
                  rhs: Sequence[float], lengths: Sequence[int],
-                 cols: Iterable[int], coefs: Iterable[float]) -> None:
-        """Row i takes the next lengths[i] entries of cols and coefs.
-
-        Terms are kept as given, zero coefficients included; build()
-        refuses an undeclared variable or one repeated within a row. A
-        column index that array('i') cannot hold (too large, or not an int)
-        is refused here, and the rows are not added.
-        """
+                 cols: Iterable[int], coefs: Iterable[float], family: str = "") -> None:
+        """The row family named family: row i takes the next lengths[i] entries of
+        cols and coefs, kept as given. build() refuses an undeclared variable or
+        one repeated within a row; a column index that array('i') cannot hold
+        (too large, or not an int) is refused here, and the rows are not added."""
         if not len(names) == len(senses) == len(rhs) == len(lengths):
             raise ModelError("row columns differ in length")
         end = self._row_start[-1]
@@ -217,19 +229,55 @@ class ModelBuilder:
         if not len(self._cols) == len(self._coefs) == end + sum(lengths):
             del self._cols[end:], self._coefs[end:]
             raise ModelError("row lengths do not match the terms")
+        first = len(self._row_names)
         self._row_names.extend(names)
         self._senses.extend(senses)
         self._rhs.extend(rhs)
         ends = accumulate(lengths, initial=end)
         next(ends)  # the initial value is the previous row's end
         self._row_start.extend(ends)
+        self._row_families.append((family, range(first, len(self._row_names)), False))
+
+    def add_family(self, name: str, prefixes: Sequence[Sequence[str]],
+                   suffixes: Sequence[str], senses: Sequence[Sense],
+                   rhs: Sequence[float], lengths: Sequence[int],
+                   offsets: Sequence[int], families: Sequence[int],
+                   fleet: Sequence[Sequence[int]], coefs: Sequence[float]) -> None:
+        """add_rows for the row family name, laid out alike for each truck:
+        truck t, with bases fleet[t], has a row per suffix, its row i named
+        prefixes[t][i % len(prefixes[t])] + suffixes[i] and taking the next
+        lengths[i] of its columns place(offsets, families, [fleet[t]]).
+        lengths repeats over a truck's rows; senses, rhs and coefs over the fleet's
+        rows and terms. Checked here, once, with build()'s messages and nothing
+        added if refused: the name parts; each variable family's offset span in
+        every truck; one truck's rows if the spans are declared and apart."""
+        lengths = _repeated(lengths, len(suffixes))
+        names = list(chain.from_iterable(map(add, cycle(p), suffixes) for p in prefixes))
+        if not (len(prefixes) == len(fleet) and len(names) == len(suffixes) * len(fleet)
+                and sum(lengths) == len(offsets) and (families or not offsets)):
+            raise ModelError("row columns differ in length")
+        if not (_all_match(_PREFIXES_RE, list(chain.from_iterable(prefixes)))
+                and _all_match(_SUFFIXES_RE, suffixes)):
+            _check_names(names, "row")
+        spans = [(f, min(part), max(part)) for f in set(families)
+                 if (part := list(compress(offsets, cycle(map(eq, families, repeat(f))))))]
+        apart = all(s[0][0] >= 0 and s[-1][1] < len(self._names)
+                    and all(a[1] < b[0] for a, b in zip(s, s[1:]))
+                    for s in (sorted((bases[f] + lo, bases[f] + hi) for f, lo, hi in spans)
+                              for bases in fleet) if s)
+        # with spans apart, a column names one (family, offset), alike in every truck
+        trucks = fleet[:1] if apart else fleet
+        _check_rows(names, list(accumulate(lengths * len(trucks), initial=0)),
+                    list(place(offsets, families, trucks)), self._names)
+        self.add_rows(names, _repeated(senses, len(names)), _repeated(rhs, len(names)),
+                      lengths * len(fleet), place(offsets, families, fleet),
+                      _repeated(coefs, len(offsets) * len(fleet)), name)
+        self._row_families[-1] = (name, self._row_families[-1][1], True)
 
     def build(self) -> MipModel:
-        model = MipModel(
-            names=self._names, kinds=self._kinds, lowers=self._lowers,
-            uppers=self._uppers, objective=self._objective,
-            row_names=self._row_names, senses=self._senses, rhs=self._rhs,
-            row_start=self._row_start, cols=self._cols, coefs=self._coefs)
+        model = MipModel.__new__(MipModel)  # the constructor would record no family
+        vars(model).update((f.name, getattr(self, "_" + f.name)) for f in fields(MipModel))
+        model.__post_init__()
         self.__init__()
         return model
 
@@ -241,17 +289,14 @@ def census(model: MipModel) -> tuple[int, int]:
 
 def _num(x: float) -> str:
     # shortest representation that round-trips
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(x)
+    return str(int(x)) if x == int(x) and abs(x) < 1e15 else repr(x)
 
 
 def _term_text(coef: float) -> str:
     """What precedes a variable's name as a later term of an expression; a
     first term drops the "+ ", and a "- " stays."""
     sign = "+" if coef >= 0 else "-"
-    mag = abs(coef)
-    return f"{sign} {_num(mag)} " if mag != 1 else f"{sign} "
+    return f"{sign} {_num(abs(coef))} " if abs(coef) != 1 else f"{sign} "
 
 
 def emit_lp(model: MipModel) -> str:
@@ -280,8 +325,7 @@ def emit_lp(model: MipModel) -> str:
     bound_text = {bound: _num(bound) for bound in {*model.lowers, *model.uppers}
                   if bound not in (NEG_INF, POS_INF)}
     bound_text[NEG_INF], bound_text[POS_INF] = "-inf", "+inf"
-    generals: list[str] = []
-    binaries: list[str] = []
+    generals, binaries = [], []
     for name, kind, lower, upper in zip(names, model.kinds, model.lowers, model.uppers):
         if kind is VarKind.BINARY:
             binaries.append(name)
@@ -290,12 +334,10 @@ def emit_lp(model: MipModel) -> str:
         elif kind is VarKind.INTEGER:
             generals.append(name)
         lines.append(f" {bound_text[lower]} <= {name} <= {bound_text[upper]}")
-    if generals:
-        lines.append("Generals")
-        lines.extend(f" {name}" for name in generals)
-    if binaries:
-        lines.append("Binaries")
-        lines.extend(f" {name}" for name in binaries)
+    for title, group in (("Generals", generals), ("Binaries", binaries)):
+        if group:
+            lines.append(title)
+            lines.extend(f" {name}" for name in group)
     lines += "End", ""  # the text ends in a newline, with no second copy
     return "\n".join(lines)
 

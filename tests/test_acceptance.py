@@ -9,6 +9,7 @@ import sys
 import time
 
 from conftest import data_path, small_random_instance
+from test_family_census import check_families, location_rows, request_rows
 from ppdsp.cli import main
 from ppdsp.core import validate_solution, xi
 from ppdsp.enc_location import encode_location, predicted_counts_location
@@ -72,18 +73,21 @@ def test_criterion_3_census_equals_formula():
     # encoder runs far beyond this criterion's time budget on one core; the
     # complete sweep lives in scripts/census_sweep.py and checks the same
     # equality. The request model's census never reads |V|, which the
-    # |V|-slice below verifies directly.
+    # |V|-slice below verifies directly. Each row family's count is checked
+    # against its own closed form too, so that a mismatch names its family.
     start = time.monotonic()
     checked = 0
 
     def check(nv, n, m, request=True):
         nonlocal checked
         inst = grid_instance(nv, n, m)
-        assert census(encode_location(inst).model) == \
-            predicted_counts_location(nv, n, m), (nv, n, m, "location")
+        model = encode_location(inst).model
+        assert census(model) == predicted_counts_location(nv, n, m), (nv, n, m, "location")
+        check_families(model, location_rows(nv, n, m), "c3", (nv, n, m))
         if request:
-            assert census(encode_request(inst).model) == \
-                predicted_counts_request(n, m), (nv, n, m, "request")
+            model = encode_request(inst).model
+            assert census(model) == predicted_counts_request(n, m), (nv, n, m, "request")
+            check_families(model, request_rows(n, m), "ca4", (nv, n, m))
         checked += 1
 
     for nv in range(4, 23):        # all (|V|, m) at fixed n

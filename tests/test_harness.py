@@ -362,8 +362,12 @@ class TestSolve:
     def test_ctrl_c_kills_the_solver_and_is_raised(self, tmp_path, monkeypatch):
         pid_file = tmp_path / "solver.pid"
         script = tmp_path / "sleeping_solver.py"
+        # the pid goes in under a temporary name, so solver.pid, once it
+        # exists, holds it
         script.write_text("import os, time\n"
-                          f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+                          f"with open({str(pid_file) + '.tmp'!r}, 'w') as f:\n"
+                          "    f.write(str(os.getpid()))\n"
+                          f"os.replace({str(pid_file) + '.tmp'!r}, {str(pid_file)!r})\n"
                           "time.sleep(60)\n")
         communicate = subprocess.Popen.communicate
 

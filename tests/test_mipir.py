@@ -363,6 +363,14 @@ def refusal(construct) -> str | None:
     return None
 
 
+def outcome(construct):
+    """What construct() returns, or the message of the ModelError it raises."""
+    try:
+        return construct()
+    except ModelError as exc:
+        return str(exc)
+
+
 class TestArrayColumns:
     """ModelBuilder keeps row_start and cols as array('i') and objective as
     array('d'); MipModel checks them as it checks lists."""
@@ -389,23 +397,173 @@ class TestArrayColumns:
         assert list(model.row_start) == [0, 2, 3]
         assert list(model.cols) == [0, 1, 1]
 
-    @given(row_runs(), st.sampled_from([0.0, math.nan, POS_INF, NEG_INF]))
+    @given(row_runs(), st.sampled_from([0.0, math.nan, POS_INF, NEG_INF]),
+           st.sampled_from([1.0, math.nan, POS_INF, NEG_INF]), st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_arrays_refused_exactly_as_lists(self, case, last_objective):
+    def test_arrays_refused_exactly_as_lists(self, case, last_objective, last_term,
+                                             in_rhs):
         num_vars, rows = case
         cols = [j for terms in rows for j in terms]
         objective = [1.0] * (num_vars - 1) + [last_objective]
+        rhs, coefs = [0.0] * len(rows), [1.0] * len(cols)
+        if coefs and not in_rhs:
+            coefs[-1] = last_term
+        else:
+            rhs[-1] = last_term
         columns = dict(
             names=[f"v{j}" for j in range(num_vars)],
             kinds=[VarKind.CONTINUOUS] * num_vars, lowers=[0.0] * num_vars,
             uppers=[1.0] * num_vars, objective=objective,
             row_names=[f"r{i}" for i in range(len(rows))],
-            senses=[Sense.LE] * len(rows), rhs=[0.0] * len(rows),
+            senses=[Sense.LE] * len(rows), rhs=rhs,
             row_start=list(accumulate(map(len, rows), initial=0)),
-            cols=cols, coefs=[1.0] * len(cols))
+            cols=cols, coefs=coefs)
         typed = dict(columns, row_start=array("i", columns["row_start"]),
                      cols=array("i", cols), objective=array("d", objective))
-        assert refusal(lambda: MipModel(**typed)) == refusal(lambda: MipModel(**columns))
+        expected = refusal(lambda: MipModel(**columns))
+        for other in (typed, dict(typed, coefs=array("d", coefs)),
+                      dict(columns, rhs=tuple(rhs), coefs=tuple(coefs))):
+            assert refusal(lambda: MipModel(**other)) == expected
+
+
+def fleet_builder(trucks: int, sizes=(4, 3)) -> tuple[ModelBuilder, list[list[int]]]:
+    """A builder holding, for each variable family in turn, sizes[f] free
+    variables f{f}_t{t}_{k} per truck; returns it and each truck's bases."""
+    b = ModelBuilder()
+    firsts = [add_free(b, *(f"f{f}_t{t}_{k}" for t in range(trucks) for k in range(size)))
+              for f, size in enumerate(sizes)]
+    return b, [[first + t * size for first, size in zip(firsts, sizes)]
+               for t in range(trucks)]
+
+
+def add_pairs_family(b: ModelBuilder, fleet, name="p", offsets=(0, 1, 1, 2),
+                     families=(0, 1), prefixes=None, suffixes=("_a", "_b")) -> None:
+    """Two rows a truck, x - u <= 1 each, over families 0 (x) and 1 (u)."""
+    b.add_family(name, prefixes or [[f"{name}_t{t}"] for t in range(len(fleet))],
+                 list(suffixes), [Sense.LE], [1.0], [2], list(offsets), list(families),
+                 fleet, [1.0, -1.0])
+
+
+class TestAddFamily:
+    """add_family refuses a bad layout or name part when it is called, with
+    build()'s message, and leaves the builder as it was; otherwise it gives
+    the model that add_rows over place gives."""
+
+    def model_after_refusal(self, **bad) -> MipModel:
+        b, fleet = fleet_builder(2)
+        with pytest.raises(ModelError) as refused:
+            add_pairs_family(b, fleet, name="bad", **bad)
+        add_pairs_family(b, fleet)
+        model = b.build()
+        clean, fleet = fleet_builder(2)
+        add_pairs_family(clean, fleet)
+        expected = clean.build()
+        assert model == expected and model.row_families == expected.row_families
+        return str(refused.value)
+
+    def test_repeated_family_offset_pair(self):
+        # row _b holds (family 0, offset 2) twice
+        message = self.model_after_refusal(offsets=(0, 1, 2, 2), families=(0, 1, 0, 0))
+        assert message == "row bad_t0_b: repeated variable f0_t0_2"
+
+    @pytest.mark.parametrize("offsets, message", [
+        # u offset 3 is truck 1's first u for truck 0, past every column for truck 1
+        ((0, 1, 1, 3), "row bad_t1_b references undeclared variable 14"),
+        # x offset -1 is truck 0's last x for truck 1, before column 0 for truck 0
+        ((0, 1, -1, 2), "row bad_t0_b references undeclared variable -1"),
+    ], ids=["last-truck", "first-truck"])
+    def test_offset_outside_its_family_for_one_truck(self, offsets, message):
+        assert self.model_after_refusal(offsets=offsets) == message
+
+    @pytest.mark.parametrize("prefixes, suffixes, bad", [
+        ([["1bad"], ["ok_t1"]], ("_a", "_b"), "1bad_a"),
+        ([["ok_t0"], ["ok_t1"]], ("_a", "-b"), "ok_t0-b"),
+        ([["ok_t0"], ["ok_t1"]], ("_a", "_b\nx"), "ok_t0_b\nx"),
+        ([["in"], ["ok_t1"]], ("f", "_b"), "inf"),
+    ], ids=["prefix", "suffix", "newline", "number-word"])
+    def test_illegal_name_part(self, prefixes, suffixes, bad):
+        message = self.model_after_refusal(prefixes=prefixes, suffixes=suffixes)
+        assert message == f"illegal row name {bad!r}"
+
+    def test_families_meeting_in_one_truck(self):
+        # x and u share truck 1's base, so row _a's x_0 and u_0 are one column there
+        b, _ = fleet_builder(2)
+        with pytest.raises(ModelError, match="^row p_t1_a: repeated variable f0_t1_0$"):
+            add_pairs_family(b, [[0, 8], [4, 4]], offsets=(0, 0, 1, 2))
+        assert b.build().row_names == []
+
+    def test_parts_legal_only_together(self):
+        # neither "c" nor "x" passes the part checks; "cx" is a legal name
+        b, fleet = fleet_builder(2)
+        add_pairs_family(b, fleet, prefixes=[["c"], ["d"]], suffixes=("x", "y"))
+        assert b.build().row_names == ["cx", "cy", "dx", "dy"]
+
+    def test_row_families_recorded(self):
+        b, fleet = fleet_builder(2)
+        add_unit_rows(b, ["one"], [1], [0])
+        add_pairs_family(b, fleet)
+        assert b.build().row_families == [("", range(0, 1), False), ("p", range(1, 5), True)]
+
+    def test_constructor_checks_every_row(self):
+        model = tiny_model()
+        with pytest.raises(TypeError):
+            MipModel(**{f.name: getattr(model, f.name) for f in dataclasses.fields(model)})
+        assert dataclasses.replace(model).row_families == ()
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_model_or_refusal_as_add_rows_over_place(self, data):
+        draw = data.draw
+        sizes = draw(st.lists(st.integers(3, 5), min_size=1, max_size=3))
+        trucks = draw(st.integers(1, 3))
+        b_family, fleet = fleet_builder(trucks, sizes)
+        b_rows, _ = fleet_builder(trucks, sizes)
+        if draw(st.booleans()):  # later trucks' families may meet, or start at -1
+            fleet[1:] = [[draw(st.integers(-1, 5)) for _ in sizes] for _ in fleet[1:]]
+        suffixes = draw(st.lists(st.sampled_from(["_a", "_b", "0", "", "_c1", "f"]),
+                                 min_size=1, max_size=4))
+        lengths = [draw(st.integers(1, 3)) for _ in suffixes]
+        offsets = [k for length in lengths  # distinct within each row
+                   for k in draw(st.permutations(range(3)))[:length]]
+        families = draw(st.lists(st.integers(0, len(sizes) - 1), min_size=1, max_size=3))
+        prefixes = [draw(st.lists(st.sampled_from(["r_t0", "r_t1", "q1", "s"]),
+                                  min_size=1, max_size=2)) for _ in range(trucks)]
+        # then at most one fault: an empty last row, a term repeated within a
+        # row, an offset out of its family, or an illegal name part
+        fault = draw(st.sampled_from(["none", "empty", "repeat", "offset", "prefix",
+                                      "suffix"]))
+        if fault == "empty":
+            del offsets[len(offsets) - lengths[-1]:]
+            lengths[-1] = 0
+        elif fault == "repeat" and max(lengths) > 1:
+            i = lengths.index(max(lengths))
+            offsets[sum(lengths[:i]) + 1] = offsets[sum(lengths[:i])]
+        elif fault == "offset":
+            offsets[draw(st.integers(0, len(offsets) - 1))] = draw(st.sampled_from([-1, 5]))
+        elif fault == "prefix":
+            prefixes[-1][-1] = draw(st.sampled_from(["in", "1r", "na"]))
+        elif fault == "suffix":
+            suffixes[-1] = draw(st.sampled_from(["-", "n", "_\n"]))
+        senses = [Sense.LE, Sense.GE] if len(suffixes) * trucks % 2 == 0 else [Sense.LE]
+        coefs = [float(k + 1) for k in range(len(offsets))]
+
+        def via_family():
+            b_family.add_family("fam", prefixes, suffixes, senses, [2.0], lengths, offsets,
+                                families, fleet, coefs)
+            return b_family.build()
+
+        def via_rows():
+            names = [p[i % len(p)] + suffix for p in prefixes
+                     for i, suffix in enumerate(suffixes)]
+            b_rows.add_rows(names, senses * (len(names) // len(senses)), [2.0] * len(names),
+                            lengths * trucks, place(offsets, families, fleet),
+                            coefs * trucks, "fam")
+            return b_rows.build()
+
+        got, expected = outcome(via_family), outcome(via_rows)
+        assert got == expected
+        if isinstance(got, MipModel):
+            assert [f[:2] for f in got.row_families] == [f[:2] for f in expected.row_families]
 
 
 # each as a first and as a later term, in the objective and in rows
