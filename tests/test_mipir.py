@@ -449,7 +449,9 @@ class TestAddFamily:
     build()'s message, and leaves the builder as it was; otherwise it gives
     the model that add_rows over place gives."""
 
-    def model_after_refusal(self, **bad) -> MipModel:
+    def refusal(self, **bad) -> str:
+        """The message add_family refuses bad with, once checked that the
+        builder then builds what it would have without the call."""
         b, fleet = fleet_builder(2)
         with pytest.raises(ModelError) as refused:
             add_pairs_family(b, fleet, name="bad", **bad)
@@ -463,7 +465,7 @@ class TestAddFamily:
 
     def test_repeated_family_offset_pair(self):
         # row _b holds (family 0, offset 2) twice
-        message = self.model_after_refusal(offsets=(0, 1, 2, 2), families=(0, 1, 0, 0))
+        message = self.refusal(offsets=(0, 1, 2, 2), families=(0, 1, 0, 0))
         assert message == "row bad_t0_b: repeated variable f0_t0_2"
 
     @pytest.mark.parametrize("offsets, message", [
@@ -473,7 +475,7 @@ class TestAddFamily:
         ((0, 1, -1, 2), "row bad_t0_b references undeclared variable -1"),
     ], ids=["last-truck", "first-truck"])
     def test_offset_outside_its_family_for_one_truck(self, offsets, message):
-        assert self.model_after_refusal(offsets=offsets) == message
+        assert self.refusal(offsets=offsets) == message
 
     @pytest.mark.parametrize("prefixes, suffixes, bad", [
         ([["1bad"], ["ok_t1"]], ("_a", "_b"), "1bad_a"),
@@ -482,7 +484,7 @@ class TestAddFamily:
         ([["in"], ["ok_t1"]], ("f", "_b"), "inf"),
     ], ids=["prefix", "suffix", "newline", "number-word"])
     def test_illegal_name_part(self, prefixes, suffixes, bad):
-        message = self.model_after_refusal(prefixes=prefixes, suffixes=suffixes)
+        message = self.refusal(prefixes=prefixes, suffixes=suffixes)
         assert message == f"illegal row name {bad!r}"
 
     def test_families_meeting_in_one_truck(self):
