@@ -9,7 +9,7 @@ u is integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, permutations
+from itertools import chain
 
 from .core import DeliveryRoutingSolution, Instance, TruckPlan
 from .mipir import MipModel, ModelBuilder, Sense, VarKind
@@ -26,6 +26,14 @@ def x_name(t: int, o: int, d: int) -> str:
 
 def y_name(t: int, r: int) -> str:
     return f"y_t{t}_r{r}"
+
+
+def u_name(t: int, v: int) -> str:
+    return f"u_t{t}_v{v}"
+
+
+def h_name(t: int, v: int) -> str:
+    return f"h_t{t}_v{v}"
 
 
 @dataclass(frozen=True)
@@ -82,18 +90,20 @@ def encode_location(instance: Instance) -> LocationEncoding:
         [y_name(t.id, r.id) for t in trucks for r in requests], VarKind.BINARY,
         [0.0] * (m * n), [1.0] * (m * n), [r.w for r in requests] * m)
     # u and h have no depot copy; their bases sit one back, so offset v is node v
-    zeros = [0.0] * (m * (nv - 1))
-    u0 = b.add_variables([f"u_t{t.id}_v{v}" for t in trucks for v in range(1, nv)],
-                         VarKind.INTEGER, zeros, [nv - 2] * len(zeros), zeros) - 1
-    h0 = b.add_variables([f"h_t{t.id}_v{v}" for t in trucks for v in range(1, nv)],
-                         VarKind.CONTINUOUS, zeros,
-                         [t.capacity for t in trucks for _ in range(1, nv)], zeros) - 1
+    u0 = b.add_variables(
+        [u_name(t.id, v) for t in trucks for v in range(1, nv)], VarKind.INTEGER,
+        [0.0] * (m * (nv - 1)), [nv - 2] * (m * (nv - 1)), [0.0] * (m * (nv - 1))) - 1
+    h0 = b.add_variables(
+        [h_name(t.id, v) for t in trucks for v in range(1, nv)], VarKind.CONTINUOUS,
+        [0.0] * (m * (nv - 1)), [t.capacity for t in trucks for _ in range(1, nv)],
+        [0.0] * (m * (nv - 1))) - 1
     fleet = [[x0 + i * nv * nv, y0 + i * n, u0 + i * (nv - 1), h0 + i * (nv - 1)]
              for i in range(m)]
 
     # each request to at most one truck
-    b.add_rows([f"c3_r{r.id}" for r in requests], [Sense.LE] * n, [1.0] * n, [m] * n,
-               [bases[Y] + i for i in range(n) for bases in fleet], [1.0] * (m * n), "c3")
+    b.add_rows([f"c3_r{r.id}" for r in requests], [Sense.LE] * n, [1.0] * n,
+               [m] * n, [bases[Y] + i for i in range(n) for bases in fleet],
+               [1.0] * (m * n), "c3")
 
     def per_truck(*heads: str) -> list[list[str]]:
         return [[f"{head}_t{t.id}" for head in heads] for t in trucks]
@@ -123,9 +133,11 @@ def encode_location(instance: Instance) -> LocationEncoding:
     # load propagation along traversed arcs, big-M pair per ordered pair; the
     # net load change at the destination is shared by every origin
     gamma_of = [[i for i, r in enumerate(requests) if r.pickup == d]
-                + [i for i, r in enumerate(requests) if r.dropoff == d] for d in nodes]
+                + [i for i, r in enumerate(requests) if r.dropoff == d]
+                for d in nodes]
     gamma_coefs = [[-float(r.q) for r in requests if r.pickup == d]
-                   + [float(r.q) for r in requests if r.dropoff == d] for d in nodes]
+                   + [float(r.q) for r in requests if r.dropoff == d]
+                   for d in nodes]
     # c10a and c10b share their terms; each row ends in its big-M coefficient
     offsets, families, lengths = [], [], []
     for o, d in pairs:
@@ -134,11 +146,12 @@ def encode_location(instance: Instance) -> LocationEncoding:
         families += ([H, H] + [Y] * len(gamma_of[d]) + [X]) * 2
         lengths += [len(row_offsets)] * 2
     total_volume = sum(r.q for r in requests)
-    big_m = [float(t.capacity + total_volume) for t in trucks]
+    big_m_of = [float(t.capacity + total_volume) for t in trucks]
     b.add_family("c10", per_truck("c10a", "c10b"), [s for s in pair_suffix for _ in "ab"],
-                 [Sense.LE, Sense.GE], [x for bm in big_m for x in [bm, -bm] * len(pairs)],
+                 [Sense.LE, Sense.GE],
+                 list(chain.from_iterable([big_m, -big_m] * len(pairs) for big_m in big_m_of)),
                  lengths, offsets, families, fleet,
-                 [c for bm in big_m for _, d in pairs for end in (bm, -bm)
+                 [c for big_m in big_m_of for _, d in pairs for end in (big_m, -big_m)
                   for c in (1.0, -1.0, *gamma_coefs[d], end)])
     return LocationEncoding(model=b.build(), instance=instance)
 
@@ -146,22 +159,26 @@ def encode_location(instance: Instance) -> LocationEncoding:
 INT_TOL = 1e-6
 
 
-def _as_bit(assignment: dict[str, float], name: str) -> int:
-    value = assignment.get(name, 0.0)
-    if not (abs(value) <= INT_TOL or abs(value - 1.0) <= INT_TOL):
-        raise DecodeError(f"{name} = {value} is not integral")
-    return int(abs(value) > INT_TOL)
+def _as_bit(name: str, value: float) -> int:
+    if abs(value) <= INT_TOL:
+        return 0
+    if abs(value - 1.0) <= INT_TOL:
+        return 1
+    raise DecodeError(f"{name} = {value} is not integral")
 
 
 def arc_successors(t: int, num_nodes: int, assignment: dict[str, float]
                    ) -> dict[int, int]:
     """The destination of each of truck t's arcs set to 1, by origin."""
     successor: dict[int, int] = {}
-    for o, d in permutations(range(num_nodes), 2):
-        if _as_bit(assignment, x_name(t, o, d)):
-            if o in successor:
-                raise DecodeError(f"truck {t}: two departures from node {o}")
-            successor[o] = d
+    for o in range(num_nodes):
+        for d in range(num_nodes):
+            if o == d:
+                continue
+            if _as_bit(x_name(t, o, d), assignment.get(x_name(t, o, d), 0.0)):
+                if o in successor:
+                    raise DecodeError(f"truck {t}: two departures from node {o}")
+                successor[o] = d
     return successor
 
 
@@ -192,8 +209,9 @@ def decode_location(encoding: LocationEncoding,
     nv = instance.graph.num_nodes
     plans = []
     for t in instance.trucks:
-        delivery = frozenset(r.id for r in instance.requests
-                             if _as_bit(assignment, y_name(t.id, r.id)))
+        delivery = frozenset(
+            r.id for r in instance.requests
+            if _as_bit(y_name(t.id, r.id), assignment.get(y_name(t.id, r.id), 0.0)))
         successor = arc_successors(t.id, nv, assignment)
         if not successor and delivery:
             raise DecodeError(f"truck {t.id}: requests assigned but no arcs")

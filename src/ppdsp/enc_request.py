@@ -15,8 +15,8 @@ from itertools import chain, groupby
 from operator import sub
 
 from .core import DeliveryRoutingSolution, Instance, TruckPlan
-# the arc layout, the variable names and the decode steps of the location model
-from .enc_location import arc_layout, arc_successors, walk
+# the variable names and the decode steps are those of the location model
+from .enc_location import arc_layout, arc_successors, h_name, u_name, walk
 from .mipir import MipModel, ModelBuilder, Sense, VarKind
 
 
@@ -50,7 +50,8 @@ def build_graph_map(instance: Instance) -> RequestGraphMap:
     requests = instance.requests  # in id order, so node r.id + 1 is r's pickup
     return RequestGraphMap(
         num_requests=len(requests),
-        location_of=(0, *(r.pickup for r in requests), *(r.dropoff for r in requests), 0),
+        location_of=(0, *(r.pickup for r in requests),
+                     *(r.dropoff for r in requests), 0),
         volume_of=(0, *(r.q for r in requests), *(-r.q for r in requests), 0))
 
 
@@ -111,7 +112,8 @@ def encode_request(instance: Instance) -> RequestEncoding:
     loc = gmap.location_of
     nv = instance.graph.num_nodes
     physical = [loc[o] * nv + loc[d] for o, d in arcs]
-    flat_costs = ([cost for row in instance.arc_costs(t) for cost in row] for t in trucks)
+    flat_costs = ([cost for row in instance.arc_costs(t) for cost in row]
+                  for t in trucks)
     x0 = b.add_variables(
         [prefix + suffix for prefix in [f"x_t{t.id}" for t in trucks]
          for suffix in arc_suffix], VarKind.BINARY, [0.0] * (m * nn * nn),
@@ -120,13 +122,16 @@ def encode_request(instance: Instance) -> RequestEncoding:
         list(chain.from_iterable(map(sub, w_arcs, map(flat.__getitem__, physical))
                                  for flat in flat_costs)))
     u0 = b.add_variables(
-        [f"u_t{t.id}_v{v}" for t in trucks for v in nodes], VarKind.INTEGER,
+        [u_name(t.id, v) for t in trucks for v in nodes], VarKind.INTEGER,
         [0.0] * (m * nn), [nn - 1] * (m * nn), [0.0] * (m * nn))
     h0 = b.add_variables(
-        [f"h_t{t.id}_v{v}" for t in trucks for v in nodes], VarKind.CONTINUOUS,
-        [0.0 if bar[v] else float(max(0, volume_of[v])) for bar in barred for v in nodes],
-        [float(t.capacity) if bar[v] else float(min(t.capacity, t.capacity + volume_of[v]))
-         for t, bar in zip(trucks, barred) for v in nodes], [0.0] * (m * nn))
+        [h_name(t.id, v) for t in trucks for v in nodes], VarKind.CONTINUOUS,
+        [0.0 if bar[v] else float(max(0, volume_of[v]))
+         for bar in barred for v in nodes],
+        [float(t.capacity) if bar[v]
+         else float(min(t.capacity, t.capacity + volume_of[v]))
+         for t, bar in zip(trucks, barred) for v in nodes],
+        [0.0] * (m * nn))
     fleet = [[x0 + i * nn * nn, u0 + i * nn, h0 + i * nn] for i in range(m)]
 
     def per_truck(*heads: str) -> list[list[str]]:
@@ -137,8 +142,10 @@ def encode_request(instance: Instance) -> RequestEncoding:
                  out_of[0] + into[end], [X], fleet, [1.0])
     # each pickup node visited at most once, over all trucks
     width = m * (nn - 1)
-    b.add_rows([f"ca4_d{d}" for d in pickups], [Sense.LE] * n, [1.0] * n, [width] * n,
-               [bases[X] + j for d in pickups for bases in fleet for j in into[d]],
+    b.add_rows([f"ca4_d{d}" for d in pickups], [Sense.LE] * n, [1.0] * n,
+               [width] * n,
+               [bases[X] + j for d in pickups for bases in fleet
+                for j in into[d]],
                [1.0] * (width * n), "ca4")
     # pickup and dropoff of one request stay on the same truck
     offsets = [j for o in pickups for j in out_of[o] + out_of[o + n]]

@@ -4,15 +4,19 @@ A model is held in columns: one sequence per variable attribute, and the
 rows as compressed sparse rows (row offsets into column-index and
 coefficient sequences). Encoders fill each family of variables or rows for
 every truck with one ModelBuilder call, which refers to variables by column
-index. The model is validated once, when it is built: ModelBuilder.add_family
-checks a row family's layout and the parts of its row names once, in one
-truck's work, and build() checks names and terms only of rows from add_rows;
-a model built directly gets every check on every row. Variables, and the
-finiteness of every coefficient and rhs, are checked over the whole model.
+index. ModelBuilder.add_family checks a row family's layout and the parts
+of its row names once, in one truck's work, when it is called: against the
+variables declared so far, and before rows that add_rows added earlier are
+checked at all. The model is validated once, when it is built: build()
+checks names and terms only of rows from add_rows, each check over all of
+them in row order before the next, and a model built directly gets every
+check on every row. Variables, and the finiteness of every coefficient and
+rhs, are checked over the whole model.
 
 ModelBuilder keeps the row offsets and column indices as array('i') and the
 objective as array('d'): these hold one distinct number per entry, which a
-list would keep as one Python object each. The other columns stay lists.
+list would keep as one Python object each. The other columns stay lists,
+whose entries repeat a few shared objects.
 
 Models are not changed once built (nothing writes to a model's columns);
 emission and the census are pure.
@@ -82,28 +86,28 @@ def _repeated(seq: Sequence, total: int) -> Sequence:  # len(seq) must divide to
 
 
 def _check_rows(row_names: Sequence[str], row_start: Sequence[int],
-                cols: Sequence[int], names: Sequence[str]) -> None:
-    """Of rows row_names[i], with terms cols[row_start[i]:row_start[i+1]], refuses
-    the first with none, else the first undeclared term, else the first repeat."""
-    starts, ends = row_start[:-1], row_start[1:]
-    lengths = list(map(sub, ends, starts))
-    if min(lengths, default=1) <= 0:
-        i = next(i for i, length in enumerate(lengths) if length <= 0)
-        raise ModelError(f"row {row_names[i]} has no terms")
-    terms = cols[row_start[0]:row_start[-1]]
-    if terms and (min(terms) < 0 or max(terms) >= len(names)):
-        k = row_start[0] + next(k for k, j in enumerate(terms) if not 0 <= j < len(names))
-        raise ModelError(f"row {row_names[bisect_right(starts, k) - 1]} "
-                         f"references undeclared variable {cols[k]}")
-    if (width := lengths[0] if lengths else 0) <= 3 and lengths.count(width) == len(lengths):
-        if not any(any(map(eq, terms[a::width], terms[b::width]))  # short rows: by position
-                   for b in range(width) for a in range(b)):
-            return
-    row_terms = list(map(cols.__getitem__, map(slice, starts, ends)))
-    if any(map(ne, map(len, map(set, row_terms)), lengths)):
-        i, terms = next((i, t) for i, t in enumerate(row_terms) if len(set(t)) < len(t))
-        j = next(j for k, j in enumerate(terms) if j in terms[:k])
-        raise ModelError(f"row {row_names[i]}: repeated variable {names[j]}")
+                cols: Sequence[int], names: Sequence[str], blocks: Iterable[range]) -> None:
+    """Of the rows in blocks, row i named row_names[i] with terms
+    cols[row_start[i]:row_start[i+1]], refuses the first with no terms, else the
+    first undeclared term, else the first repeat; each sought over all blocks."""
+    parts = [(rows, row_start[rows.start:rows.stop + 1]) for rows in blocks]
+    lengths = [list(map(sub, bounds[1:], bounds[:-1])) for _, bounds in parts]
+    for (rows, _), row_lengths in zip(parts, lengths):
+        if min(row_lengths, default=1) <= 0:
+            i = next(i for i, length in enumerate(row_lengths) if length <= 0)
+            raise ModelError(f"row {row_names[rows.start + i]} has no terms")
+    for rows, bounds in parts:
+        terms = cols[bounds[0]:bounds[-1]]
+        if terms and (min(terms) < 0 or max(terms) >= len(names)):
+            k = bounds[0] + next(k for k, j in enumerate(terms) if not 0 <= j < len(names))
+            i = bisect_right(row_start, k, rows.start, rows.stop) - 1
+            raise ModelError(f"row {row_names[i]} references undeclared variable {cols[k]}")
+    for (rows, bounds), row_lengths in zip(parts, lengths):
+        row_terms = list(map(cols.__getitem__, map(slice, bounds[:-1], bounds[1:])))
+        if any(map(ne, map(len, map(set, row_terms)), row_lengths)):
+            i, terms = next((i, t) for i, t in enumerate(row_terms) if len(set(t)) < len(t))
+            j = next(j for k, j in enumerate(terms) if j in terms[:k])
+            raise ModelError(f"row {row_names[rows.start + i]}: repeated variable {names[j]}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,9 @@ class MipModel:
     Variable j is names[j], of kind kinds[j], within [lowers[j], uppers[j]],
     with objective coefficient objective[j]. Row i is row_names[i]: the sum
     of coefs[k] times variable cols[k] over k in row_start[i]:row_start[i+1],
-    compared by senses[i] with rhs[i]. Lists and arrays are checked alike.
+    compared by senses[i] with rhs[i]. ModelBuilder gives row_start and cols
+    as array('i') and objective as array('d'); a model given lists there is
+    checked, and refused, alike.
     """
 
     names: list[str]
@@ -168,9 +174,7 @@ class MipModel:
         if any(map(gt, self.lowers, self.uppers)):
             j = next(j for j in range(num_vars) if self.lowers[j] > self.uppers[j])
             raise ModelError(f"variable {self.names[j]}: lower bound above upper")
-        for rows in unchecked:
-            _check_rows(self.row_names[rows.start:rows.stop],
-                        self.row_start[rows.start:rows.stop + 1], self.cols, self.names)
+        _check_rows(self.row_names, self.row_start, self.cols, self.names, unchecked)
         if not all(map(math.isfinite, chain(self.coefs, self.rhs))):
             i = next(i for i, (s, e) in enumerate(zip(self.row_start, self.row_start[1:]))
                      if not all(map(math.isfinite, chain(self.coefs[s:e], [self.rhs[i]]))))
@@ -179,20 +183,37 @@ class MipModel:
 
 def place(offsets: Sequence[int], families: Sequence[int],
           fleet: Iterable[Sequence[int]]) -> Iterator[int]:
-    """Column indices of a row family's terms for each truck in turn: with
-    bases fleet[t], the k-th term is bases[families[k % len(families)]] + offsets[k]."""
-    return chain.from_iterable(map(add, offsets, cycle(map(bases.__getitem__, families)))
+    """Column indices of a row family's terms, laid out as family-relative
+    offsets, for a whole fleet: truck 0's columns, then truck 1's, and so on.
+
+    fleet holds one bases sequence per truck. For a truck, the k-th term is
+    column bases[families[k % len(families)]] + offsets[k].
+    """
+    return chain.from_iterable(map(add, offsets, cycle([bases[f] for f in families]))
                                for bases in fleet)
 
 
 class ModelBuilder:
-    """Collects a model column by column, naming variables by column index;
-    build() hands the columns and row families to a model and starts anew."""
+    """Collects a model column by column; build() validates it once.
+
+    add_variables, add_rows and add_family take one sequence per column and
+    refer to variables by column index. build() hands its columns over to
+    the model, row_start and cols as array('i') and objective as array('d'),
+    with the row families it recorded, and starts an empty one.
+    """
 
     def __init__(self):
-        self._names, self._kinds, self._lowers, self._uppers = [], [], [], []
-        self._row_names, self._senses, self._rhs, self._coefs = [], [], [], []
-        self._objective, self._row_start, self._cols = array("d"), array("i", [0]), array("i")
+        self._names: list[str] = []
+        self._kinds: list[VarKind] = []
+        self._lowers: list[float] = []
+        self._uppers: list[float] = []
+        self._objective = array("d")
+        self._row_names: list[str] = []
+        self._senses: list[Sense] = []
+        self._rhs: list[float] = []
+        self._row_start = array("i", [0])
+        self._cols = array("i")
+        self._coefs: list[float] = []
         self._row_families: list[tuple[str, range, bool]] = []
 
     def add_variables(self, names: Sequence[str], kind: VarKind,
@@ -213,10 +234,14 @@ class ModelBuilder:
     def add_rows(self, names: Sequence[str], senses: Sequence[Sense],
                  rhs: Sequence[float], lengths: Sequence[int],
                  cols: Iterable[int], coefs: Iterable[float], family: str = "") -> None:
-        """The row family named family: row i takes the next lengths[i] entries of
-        cols and coefs, kept as given. build() refuses an undeclared variable or
-        one repeated within a row; a column index that array('i') cannot hold
-        (too large, or not an int) is refused here, and the rows are not added."""
+        """The row family named family: row i takes the next lengths[i]
+        entries of cols and coefs.
+
+        Terms are kept as given, zero coefficients included; build()
+        refuses an undeclared variable or one repeated within a row. A
+        column index that array('i') cannot hold (too large, or not an int)
+        is refused here, and the rows are not added.
+        """
         if not len(names) == len(senses) == len(rhs) == len(lengths):
             raise ModelError("row columns differ in length")
         end = self._row_start[-1]
@@ -243,14 +268,20 @@ class ModelBuilder:
                    rhs: Sequence[float], lengths: Sequence[int],
                    offsets: Sequence[int], families: Sequence[int],
                    fleet: Sequence[Sequence[int]], coefs: Sequence[float]) -> None:
-        """add_rows for the row family name, laid out alike for each truck:
-        truck t, with bases fleet[t], has a row per suffix, its row i named
+        """add_rows for the row family name, laid out alike for each truck.
+
+        Truck t, with bases fleet[t], has a row per suffix, its row i named
         prefixes[t][i % len(prefixes[t])] + suffixes[i] and taking the next
         lengths[i] of its columns place(offsets, families, [fleet[t]]).
-        lengths repeats over a truck's rows; senses, rhs and coefs over the fleet's
-        rows and terms. Checked here, once, with build()'s messages and nothing
-        added if refused: the name parts; each variable family's offset span in
-        every truck; one truck's rows if the spans are declared and apart."""
+        lengths repeats over a truck's rows; senses, rhs and coefs over the
+        fleet's rows and terms.
+
+        Checked here, once, with build()'s messages, and nothing is added if
+        refused: the name parts; each variable family's offset span in every
+        truck; one truck's rows if the spans are declared and apart. Unlike
+        add_rows, a family may not name a variable added after it, and its
+        refusal comes before build() checks any earlier add_rows rows.
+        """
         lengths = _repeated(lengths, len(suffixes))
         names = list(chain.from_iterable(map(add, cycle(p), suffixes) for p in prefixes))
         if not (len(prefixes) == len(fleet) and len(names) == len(suffixes) * len(fleet)
@@ -268,7 +299,8 @@ class ModelBuilder:
         # with spans apart, a column names one (family, offset), alike in every truck
         trucks = fleet[:1] if apart else fleet
         _check_rows(names, list(accumulate(lengths * len(trucks), initial=0)),
-                    list(place(offsets, families, trucks)), self._names)
+                    list(place(offsets, families, trucks)), self._names,
+                    [range(len(lengths) * len(trucks))])
         self.add_rows(names, _repeated(senses, len(names)), _repeated(rhs, len(names)),
                       lengths * len(fleet), place(offsets, families, fleet),
                       _repeated(coefs, len(offsets) * len(fleet)), name)
@@ -289,14 +321,17 @@ def census(model: MipModel) -> tuple[int, int]:
 
 def _num(x: float) -> str:
     # shortest representation that round-trips
-    return str(int(x)) if x == int(x) and abs(x) < 1e15 else repr(x)
+    if x == int(x) and abs(x) < 1e15:
+        return str(int(x))
+    return repr(x)
 
 
 def _term_text(coef: float) -> str:
     """What precedes a variable's name as a later term of an expression; a
     first term drops the "+ ", and a "- " stays."""
     sign = "+" if coef >= 0 else "-"
-    return f"{sign} {_num(abs(coef))} " if abs(coef) != 1 else f"{sign} "
+    mag = abs(coef)
+    return f"{sign} {_num(mag)} " if mag != 1 else f"{sign} "
 
 
 def emit_lp(model: MipModel) -> str:
@@ -325,7 +360,8 @@ def emit_lp(model: MipModel) -> str:
     bound_text = {bound: _num(bound) for bound in {*model.lowers, *model.uppers}
                   if bound not in (NEG_INF, POS_INF)}
     bound_text[NEG_INF], bound_text[POS_INF] = "-inf", "+inf"
-    generals, binaries = [], []
+    generals: list[str] = []
+    binaries: list[str] = []
     for name, kind, lower, upper in zip(names, model.kinds, model.lowers, model.uppers):
         if kind is VarKind.BINARY:
             binaries.append(name)
@@ -334,10 +370,12 @@ def emit_lp(model: MipModel) -> str:
         elif kind is VarKind.INTEGER:
             generals.append(name)
         lines.append(f" {bound_text[lower]} <= {name} <= {bound_text[upper]}")
-    for title, group in (("Generals", generals), ("Binaries", binaries)):
-        if group:
-            lines.append(title)
-            lines.extend(f" {name}" for name in group)
+    if generals:
+        lines.append("Generals")
+        lines.extend(f" {name}" for name in generals)
+    if binaries:
+        lines.append("Binaries")
+        lines.extend(f" {name}" for name in binaries)
     lines += "End", ""  # the text ends in a newline, with no second copy
     return "\n".join(lines)
 

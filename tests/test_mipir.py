@@ -354,6 +354,42 @@ class TestRowChecks:
             assert str(refused.value) == expected
 
 
+class TestRowsOverSeveralCalls:
+    """build() checks the rows of several add_rows calls as one model's:
+    every empty row first, then every undeclared variable, then repeats."""
+
+    @pytest.mark.parametrize("first, second, message", [
+        ([0, 0], [], "row r1 has no terms"),
+        ([0, 99], [], "row r1 has no terms"),
+        ([0, 0], [99], "row r1 references undeclared variable 99"),
+    ], ids=["repeat-then-empty", "undeclared-then-empty", "repeat-then-undeclared"])
+    def test_faults_in_two_add_rows_calls_refused_in_row_order(self, first, second,
+                                                                 message):
+        b = ModelBuilder()
+        add_free(b, "v0", "v1")
+        add_unit_rows(b, ["r0"], [len(first)], first)
+        add_unit_rows(b, ["r1"], [len(second)], second)
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            b.build()
+
+    @given(row_runs(), row_runs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_from_several_calls_refused_as_one_model(self, first, second, data):
+        # up to two faults, the rows cut into add_rows calls, a checked family among them
+        num_vars, rows = first[0], first[1] + second[1]
+        names = [f"v{j}" for j in range(num_vars)]
+        row_names = [f"r{i}" for i in range(len(rows))]
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=3)))
+        b = ModelBuilder()
+        add_free(b, *names)
+        for i, (s, e) in enumerate(zip([0, *cuts], [*cuts, len(rows)])):
+            add_unit_rows(b, row_names[s:e], list(map(len, rows[s:e])),
+                          [j for terms in rows[s:e] for j in terms])
+            if i == len(cuts) // 2:
+                add_pairs_family(b, [[0, 3]])
+        assert refusal(b.build) == reference_refusal(names, row_names, rows)
+
+
 def refusal(construct) -> str | None:
     """The message of the ModelError that construct() raises, or None."""
     try:
@@ -499,6 +535,24 @@ class TestAddFamily:
         b, fleet = fleet_builder(2)
         add_pairs_family(b, fleet, prefixes=[["c"], ["d"]], suffixes=("x", "y"))
         assert b.build().row_names == ["cx", "cy", "dx", "dy"]
+
+    def test_refused_before_earlier_add_rows_faults(self):
+        b, fleet = fleet_builder(2)
+        add_unit_rows(b, ["r0"], [2], [0, 0])
+        with pytest.raises(ModelError, match="^row bad_t1_b references undeclared variable 14$"):
+            add_pairs_family(b, fleet, name="bad", offsets=(0, 1, 1, 3))
+        with pytest.raises(ModelError, match="^row r0: repeated variable f0_t0_0$"):
+            b.build()
+
+    def test_only_add_rows_may_name_a_variable_added_after_it(self):
+        # build() checks add_rows's terms against every variable; add_family
+        # checks its own when it is called, against the variables so far
+        b, fleet = fleet_builder(2)
+        add_unit_rows(b, ["r0"], [1], [14])
+        with pytest.raises(ModelError, match="^row bad_t1_b references undeclared variable 14$"):
+            add_pairs_family(b, fleet, name="bad", offsets=(0, 1, 1, 3))
+        add_free(b, "late")
+        assert list(b.build().cols) == [14]
 
     def test_row_families_recorded(self):
         b, fleet = fleet_builder(2)
