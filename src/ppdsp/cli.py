@@ -117,10 +117,6 @@ def _parse_list(text: str, item, what: str) -> list:
         raise CliError(f"bad {what} list {text!r}")
 
 
-def _fmt_k(k: float) -> str:
-    return f"{k:g}"
-
-
 def solution_to_json(solution: DeliveryRoutingSolution) -> str:
     doc = {"plans": [{"truck": p.truck_id,
                       "delivery": sorted(p.delivery),
@@ -154,10 +150,10 @@ def cmd_gen(args) -> int:
         raise CliError(f"cannot write {args.out}: {exc.strerror}")
     for k in sorted(k_list):
         instance = family[k]
-        name = f"{sample.name}_k{_fmt_k(k)}_m{args.m}_s{args.seed}.instance"
+        name = f"{sample.name}_k{k:g}_m{args.m}_s{args.seed}.instance"
         path = os.path.join(args.out, name)
         _write(path, instgen.serialize_instance(instance))
-        print(f"k={_fmt_k(k)} n={instance.meta.n} -> {os.path.abspath(path)}")
+        print(f"k={k:g} n={instance.meta.n} -> {os.path.abspath(path)}")
     return EXIT_OK
 
 

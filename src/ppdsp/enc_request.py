@@ -10,11 +10,11 @@ Node layout for n requests (N = 2n+2 nodes total):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, groupby
 from operator import sub
 
-from .core import DeliveryRoutingSolution, Instance, TruckPlan
+from .core import DeliveryRoutingSolution, Instance, LocationGraph, TruckPlan
 # the variable names and the decode steps are those of the location model
 from .enc_location import arc_layout, arc_successors, h_name, u_name, walk
 from .mipir import MipModel, ModelBuilder, Sense, VarKind
@@ -198,3 +198,21 @@ def decode_request(encoding: RequestEncoding, assignment: dict[str, float]
             route = ()
         plans.append(TruckPlan(truck_id=t.id, delivery=delivery, route=route))
     return DeliveryRoutingSolution(plans=tuple(plans)), raw_routes
+
+
+def request_graph_solution(encoding: RequestEncoding, raw_routes: dict[int, tuple[int, ...]]
+                           ) -> tuple[DeliveryRoutingSolution, Instance]:
+    """decode_request's raw paths as a solution over the request graph, given
+    as an Instance: node v at location location_of[v], request r from node
+    r+1 to node r+n+1, the trucks without cost matrices. A plan delivers each
+    request with an event on its path, and its route ends at depot 0."""
+    instance, gmap = encoding.instance, encoding.graph_map
+    coords, n = instance.graph.coords, gmap.num_requests
+    graph = Instance(LocationGraph(tuple(coords[loc] for loc in gmap.location_of)),
+                     tuple(replace(r, pickup=r.id + 1, dropoff=r.id + n + 1)
+                           for r in instance.requests),
+                     tuple(replace(t, cost_matrix=None) for t in instance.trucks))
+    plans = tuple(TruckPlan(tid, frozenset(map(gmap.request_of, path[1:-1])),
+                            (0, *path[1:-1], 0) if len(path) > 2 else ())
+                  for tid, path in raw_routes.items())
+    return DeliveryRoutingSolution(plans), graph

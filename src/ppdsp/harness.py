@@ -106,8 +106,9 @@ class SolveOutcome:
     Error, with `error` saying why: the solver crashed, timed out, wrote no
     file or wrote neither a status nor values; a line is malformed or names
     an unknown variable; the status is Error or unknown; the values do not
-    decode; or the decoded `solution` fails the audit (`violations`) or its
-    xi differs from `objective`.
+    decode; or the decoded `solution` fails the audit (`violations`, from
+    core.validate_solution, over the request graph for the request model)
+    or its xi differs from `objective`.
     `objective` is the solver's whenever its values were read.
     """
 
@@ -347,30 +348,11 @@ def run_adapter(adapter: SolverAdapter, lp_text: str, time_limit_s: float) -> st
 
 
 def request_raw_checks(encoding, raw_routes: dict[int, tuple[int, ...]]) -> list[str]:
-    """Per-request precedence and per-event capacity on the raw duplicated
-    node sequences of a decoded request-model solution."""
-    problems: list[str] = []
-    gmap = encoding.graph_map
-    instance = encoding.instance
-    for t in instance.trucks:
-        path = raw_routes.get(t.id, ())
-        load = 0
-        seen_pickup: set[int] = set()
-        for v in path[1:-1]:
-            rid = gmap.request_of(v)
-            if gmap.is_pickup(v):
-                seen_pickup.add(rid)
-                load += instance.requests[rid].q
-            else:
-                if rid not in seen_pickup:
-                    problems.append(f"truck {t.id}: dropoff of request {rid} "
-                                    "before its pickup")
-                load -= instance.requests[rid].q
-            if load > t.capacity:
-                problems.append(f"truck {t.id}: load {load} over capacity at node {v}")
-            if load < 0:
-                problems.append(f"truck {t.id}: negative load at node {v}")
-    return problems
+    """core.validate_solution's violations of decode_request's raw paths,
+    over the request graph (enc_request.request_graph_solution). The name
+    stays because perfbench's tracer times it as a layer of its own."""
+    solution, graph = enc_request.request_graph_solution(encoding, raw_routes)
+    return [str(v) for v in validate_solution(solution, graph).violations]
 
 
 # --- formulations ---------------------------------------------------------
@@ -541,8 +523,8 @@ def records_from_csv(text: str) -> list[BenchRecord]:
     """The records of a bench CSV as records_to_csv writes it; raises
     ValueError naming a missing column, or the line of a row with more or
     fewer fields than the header or with a bad value: one that does not
-    parse, a k, objective or wall time that is not finite, or a negative
-    wall time."""
+    parse, a k, objective or wall time that is not finite, a negative wall
+    time, or a formulation other than location or request."""
     reader = csv.DictReader(io.StringIO(text))
     for name in CSV_HEADER:
         if name not in (reader.fieldnames or ()):
@@ -569,6 +551,9 @@ def records_from_csv(text: str) -> list[BenchRecord]:
                     raise ValueError(f"{name} {row[name]!r} is not finite")
             if (record.wall_time_s or 0.0) < 0:
                 raise ValueError(f"wall_time_s {row['wall_time_s']!r} is negative")
+            if record.formulation not in ("location", "request"):
+                raise ValueError(f"formulation {record.formulation!r} is not location "
+                                 "or request")
             records.append(record)
         except ValueError as exc:
             raise ValueError(f"line {reader.line_num}: {exc}") from None

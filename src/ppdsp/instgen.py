@@ -255,10 +255,9 @@ def generate_family(sample: TsplibSample, k_list: list[float], m: int, seed: int
         raise ValueError(f"sample {sample.name}: average distance {avg_dist} "
                          "is not finite")
     num_nondepot = graph.num_nodes - 1
-    k_max = ks[-1]
-    n_max = num_requests(graph.num_nodes, k_max)
-    if n_max < 1:
+    if num_requests(graph.num_nodes, ks[0]) < 1:  # n grows with k
         raise ValueError("n must be >= 1")
+    n_max = num_requests(graph.num_nodes, ks[-1])
     num_pairs = num_nondepot * (num_nondepot - 1)
     if n_max > num_pairs:
         raise ValueError(f"n={n_max} exceeds the {num_pairs} distinct ordered "

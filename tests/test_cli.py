@@ -259,7 +259,9 @@ class TestInputErrors:
         one_reason_line(capsys, "sample=twin is given twice")
 
     @pytest.mark.parametrize("k, reason", [(",", "k_list is empty"),
-                                           ("0.01", "n must be >= 1")])
+                                           ("0.01", "n must be >= 1"),
+                                           ("0,3", "n must be >= 1"),
+                                           ("0.01,1", "n must be >= 1")])
     @pytest.mark.parametrize("command", ["gen", "bench"])
     def test_k_list_without_requests(self, command, k, reason, tmp_path, capsys):
         out = tmp_path / "instances"
@@ -579,6 +581,7 @@ class TestInputErrors:
         ("k", "nan", "is not finite"), ("k", "inf", "is not finite"),
         ("objective", "nan", "is not finite"), ("objective", "-inf", "is not finite"),
         ("wall_time_s", "nan", "is not finite"), ("wall_time_s", "-1", "is negative"),
+        ("formulation", "loc", "is not location or request"),
     ])
     def test_report_csv_number_out_of_range(self, column, value, reason, tmp_path, capsys):
         fields = dict(zip(harness.CSV_HEADER, "burma14,1,2,7,location,458,1041,"

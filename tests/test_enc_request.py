@@ -1,11 +1,13 @@
+import dataclasses
 import hashlib
 
 import pytest
 
 from conftest import columns_of
+from ppdsp.core import TruckPlan, validate_solution
 from ppdsp.enc_location import DecodeError, encode_location, x_name
 from ppdsp.enc_request import (build_graph_map, decode_request, encode_request,
-                               predicted_counts_request)
+                               predicted_counts_request, request_graph_solution)
 from ppdsp.instgen import generate_family, grid_instance
 from ppdsp.mipir import census, emit_lp
 
@@ -166,3 +168,33 @@ class TestDecode:
         values[x_name(0, 2, 1)] = 1.0
         with pytest.raises(DecodeError):
             decode_request(encoding, values)
+
+
+class TestRequestGraph:
+    def test_raw_paths_over_the_request_graph(self, golden_instance):
+        encoding = encode_request(golden_instance)
+        solution, graph = request_graph_solution(encoding, {0: (0, 1, 2, 5, 4, 7),
+                                                            1: (0, 7)})
+        coords = golden_instance.graph.coords
+        assert graph.graph.coords == tuple(coords[v] for v in (0, 1, 1, 2, 3, 2, 3, 0))
+        assert [(r.pickup, r.dropoff) for r in graph.requests] == [(1, 4), (2, 5), (3, 6)]
+        assert [(r.w, r.q) for r in graph.requests] == \
+            [(r.w, r.q) for r in golden_instance.requests]
+        assert [(t.capacity, t.cost_matrix) for t in graph.trucks] == [(6, None), (3, None)]
+        # the end depot 7 becomes depot 0; an idle truck has no route
+        assert solution.plans == (TruckPlan(0, frozenset({0, 1}), (0, 1, 2, 5, 4, 0)),
+                                  TruckPlan(1, frozenset(), ()))
+        assert validate_solution(solution, graph).ok
+
+    def test_a_dropoff_alone_misses_its_pickup(self, golden_instance):
+        encoding = encode_request(golden_instance)
+        solution, graph = request_graph_solution(encoding, {0: (0, 4, 7), 1: (0, 7)})
+        assert solution.plans[0].delivery == frozenset({0})
+        assert [str(v) for v in validate_solution(solution, graph).violations] == \
+            ["MissingNode(1)"]
+
+    def test_an_instance_without_requests_audits(self, golden_instance):
+        encoding = encode_request(dataclasses.replace(golden_instance, requests=()))
+        solution, graph = request_graph_solution(encoding, {0: (0, 1), 1: (0, 1)})
+        assert graph.graph.num_nodes == 2
+        assert validate_solution(solution, graph).ok

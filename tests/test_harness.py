@@ -274,16 +274,25 @@ class TestSolve:
         assert outcome.status == "Feasible"
         assert outcome.objective == 0.0
 
-    def test_request_answer_failing_the_audit(self, golden_instance, tmp_path):
+    @pytest.mark.parametrize("values, violations, objective", [
         # truck 0 drives 0-4-1-7: the dropoff of request 0 comes before its pickup
-        adapter = stub_adapter(tmp_path, "# status Optimal\nx_t0_o0_d4 1\n"
-                               "x_t0_o4_d1 1\nx_t0_o1_d7 1\nx_t1_o0_d7 1\n")
+        ("x_t0_o0_d4 1\nx_t0_o4_d1 1\nx_t0_o1_d7 1\nx_t1_o0_d7 1\n",
+         ("PrecedenceViolated(0): dropoff 4 before pickup 1", "NegativeLoad(4): load -4"),
+         2.0),
+        # truck 0 drives 0-1-7: request 0 is picked up and never dropped off
+        ("x_t0_o0_d1 1\nx_t0_o1_d7 1\nx_t1_o0_d7 1\n", ("MissingNode(4)",), 9.0),
+        # both trucks drive 0-3-6-7: request 2 is served twice
+        ("x_t0_o0_d3 1\nx_t0_o3_d6 1\nx_t0_o6_d7 1\n"
+         "x_t1_o0_d3 1\nx_t1_o3_d6 1\nx_t1_o6_d7 1\n", ("DuplicateAssignment(2)",), -1.0),
+    ], ids=["precedence", "pickup-only", "served-twice"])
+    def test_request_answer_failing_the_audit(self, values, violations, objective,
+                                              golden_instance, tmp_path):
+        adapter = stub_adapter(tmp_path, "# status Optimal\n" + values)
         outcome = solve(golden_instance, "request", adapter, 10)
         assert outcome.status == "Error"
         assert outcome.error == "claimed-feasible solution fails validation"
-        assert outcome.violations == ("truck 0: dropoff of request 0 before its pickup",
-                                      "truck 0: negative load at node 4")
-        assert outcome.objective == 2.0
+        assert outcome.violations == violations
+        assert outcome.objective == objective
         instance_path = tmp_path / "golden.instance"
         instance_path.write_text(serialize_instance(golden_instance))
         assert main(["solve", "--instance", str(instance_path), "--formulation", "req",
