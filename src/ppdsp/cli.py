@@ -139,6 +139,9 @@ def solution_from_json(text: str) -> DeliveryRoutingSolution:
 
 def cmd_gen(args) -> int:
     sample = _read_sample(args.tsplib)
+    # the instance files are named after the sample, inside --out
+    if sample.name in (".", "..") or os.path.basename(sample.name) != sample.name:
+        raise CliError(f"{args.tsplib}: sample name {sample.name!r} is not a file name")
     k_list = _parse_list(args.k, float, "k")
     try:
         family = instgen.generate_family(sample, k_list, args.m, args.seed)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .core import DeliveryRoutingSolution, Instance, TruckPlan
+from .core import DeliveryRoutingSolution, Instance, Truck, TruckPlan
 from .mipir import MipModel, ModelBuilder, Sense, VarKind
 
 
@@ -62,6 +62,11 @@ def arc_layout(size: int) -> tuple[list[str], list[list[int]], list[list[int]]]:
     return suffix, out_of, into
 
 
+def per_truck(trucks: tuple[Truck, ...], *heads: str) -> list[list[str]]:
+    """A row family's name prefixes: head_t{t} per truck, one per head."""
+    return [[f"{head}_t{t.id}" for head in heads] for t in trucks]
+
+
 # variable families, in declaration order; a term (family F, offset k) of a
 # row layout is column fleet[t][F] + k of the truck t the row belongs to
 X, Y, U, H = range(4)
@@ -105,8 +110,6 @@ def encode_location(instance: Instance) -> LocationEncoding:
                [m] * n, [bases[Y] + i for i in range(n) for bases in fleet],
                [1.0] * (m * n), "c3")
 
-    def per_truck(*heads: str) -> list[list[str]]:
-        return [[f"{head}_t{t.id}" for head in heads] for t in trucks]
     by_request = [f"_r{r.id}" for r in requests]
     by_node = [f"_o{o}" for o in nodes]
     # serving a request forces a visit of its pickup and its dropoff:
@@ -114,22 +117,23 @@ def encode_location(instance: Instance) -> LocationEncoding:
     for family, stops in (("c4", [r.pickup for r in requests]),
                           ("c5", [r.dropoff for r in requests])):
         offsets = [j for i, v in enumerate(stops) for j in [i] + into[v]]
-        b.add_family(family, per_truck(family), by_request, [Sense.LE], [0.0], [nv],
-                     offsets, [Y] + [X] * (nv - 1), fleet, [1.0] + [-1.0] * (nv - 1))
+        b.add_family(family, per_truck(trucks, family), by_request, [Sense.LE], [0.0],
+                     [nv], offsets, [Y] + [X] * (nv - 1), fleet,
+                     [1.0] + [-1.0] * (nv - 1))
     # flow conservation and at most one departure per location
     offsets = [j for o in nodes for j in out_of[o] + into[o]]
-    b.add_family("c6", per_truck("c6"), by_node, [Sense.EQ], [0.0], [2 * (nv - 1)], offsets,
-                 [X], fleet, [1.0] * (nv - 1) + [-1.0] * (nv - 1))
-    b.add_family("c7", per_truck("c7"), by_node, [Sense.LE], [1.0], [nv - 1],
+    b.add_family("c6", per_truck(trucks, "c6"), by_node, [Sense.EQ], [0.0], [2 * (nv - 1)],
+                 offsets, [X], fleet, [1.0] * (nv - 1) + [-1.0] * (nv - 1))
+    b.add_family("c7", per_truck(trucks, "c7"), by_node, [Sense.LE], [1.0], [nv - 1],
                  list(chain.from_iterable(out_of)), [X], fleet, [1.0])
     # MTZ ordering over non-depot pairs: u_d - u_o - |V| x_od >= 1 - |V|
     offsets = list(chain.from_iterable((d, o, o * nv + d) for o, d in pairs))
-    b.add_family("c8", per_truck("c8"), pair_suffix, [Sense.GE], [1.0 - nv], [3], offsets,
-                 [U, U, X], fleet, [1.0, -1.0, -float(nv)])
+    b.add_family("c8", per_truck(trucks, "c8"), pair_suffix, [Sense.GE], [1.0 - nv], [3],
+                 offsets, [U, U, X], fleet, [1.0, -1.0, -float(nv)])
     # pickup order precedes dropoff order when assigned (integer-gap rewrite)
     offsets = [j for i, r in enumerate(requests) for j in (r.pickup, r.dropoff, i)]
-    b.add_family("c9", per_truck("c9"), by_request, [Sense.LE], [nv - 1.0], [3], offsets,
-                 [U, U, Y], fleet, [1.0, -1.0, float(nv)])
+    b.add_family("c9", per_truck(trucks, "c9"), by_request, [Sense.LE], [nv - 1.0], [3],
+                 offsets, [U, U, Y], fleet, [1.0, -1.0, float(nv)])
     # load propagation along traversed arcs, big-M pair per ordered pair; the
     # net load change at the destination is shared by every origin
     gamma_of = [[i for i, r in enumerate(requests) if r.pickup == d]
@@ -147,8 +151,8 @@ def encode_location(instance: Instance) -> LocationEncoding:
         lengths += [len(row_offsets)] * 2
     total_volume = sum(r.q for r in requests)
     big_m_of = [float(t.capacity + total_volume) for t in trucks]
-    b.add_family("c10", per_truck("c10a", "c10b"), [s for s in pair_suffix for _ in "ab"],
-                 [Sense.LE, Sense.GE],
+    b.add_family("c10", per_truck(trucks, "c10a", "c10b"),
+                 [s for s in pair_suffix for _ in "ab"], [Sense.LE, Sense.GE],
                  list(chain.from_iterable([big_m, -big_m] * len(pairs) for big_m in big_m_of)),
                  lengths, offsets, families, fleet,
                  [c for big_m in big_m_of for _, d in pairs for end in (big_m, -big_m)

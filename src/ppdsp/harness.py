@@ -347,12 +347,11 @@ def run_adapter(adapter: SolverAdapter, lp_text: str, time_limit_s: float) -> st
             return fh.read()
 
 
-def request_raw_checks(encoding, raw_routes: dict[int, tuple[int, ...]]) -> list[str]:
-    """core.validate_solution's violations of decode_request's raw paths,
-    over the request graph (enc_request.request_graph_solution). The name
-    stays because perfbench's tracer times it as a layer of its own."""
-    solution, graph = enc_request.request_graph_solution(encoding, raw_routes)
-    return [str(v) for v in validate_solution(solution, graph).violations]
+def request_raw_checks(encoding, graph_solution: DeliveryRoutingSolution) -> list[str]:
+    """core.validate_solution's violations of decode_request's solution over
+    the request graph, encoding.graph. The name stays because perfbench's
+    tracer times it as a layer of its own."""
+    return [str(v) for v in validate_solution(graph_solution, encoding.graph).violations]
 
 
 # --- formulations ---------------------------------------------------------
@@ -365,7 +364,8 @@ def request_raw_checks(encoding, raw_routes: dict[int, tuple[int, ...]]) -> list
 class Formulation:
     """One MIP formulation: encode(instance) -> encoding; predicted_counts(
     instance), the closed-form census; decode(encoding, values) -> (solution,
-    raw node sequences or None); audit(encoding, solution, raw) -> problems."""
+    the solution the audit reads, or None); audit(encoding, solution,
+    audited) -> problems."""
 
     name: str
     aliases: tuple[str, ...]
@@ -384,7 +384,7 @@ FORMULATIONS = {alias: form for form in (
             instance.graph.num_nodes, len(instance.requests), len(instance.trucks)),
         decode=lambda encoding, values: (
             enc_location.decode_location(encoding, values), None),
-        audit=lambda encoding, solution, raw_routes: [
+        audit=lambda encoding, solution, _: [
             str(v) for v in validate_solution(solution, encoding.instance).violations]),
     Formulation(
         "request", ("req",),
@@ -392,8 +392,8 @@ FORMULATIONS = {alias: form for form in (
         predicted_counts=lambda instance: enc_request.predicted_counts_request(
             len(instance.requests), len(instance.trucks)),
         decode=lambda encoding, values: enc_request.decode_request(encoding, values),
-        audit=lambda encoding, solution, raw_routes: request_raw_checks(
-            encoding, raw_routes)),
+        audit=lambda encoding, solution, graph_solution: request_raw_checks(
+            encoding, graph_solution)),
 ) for alias in (form.name, *form.aliases)}
 
 
@@ -444,8 +444,8 @@ def _solve_encoding(form: Formulation, encoding, adapter: SolverAdapter,
             run_adapter(adapter, emit_lp(encoding.model), time_limit_s), encoding.model)
         if assignment is not None:
             objective = objective_value(encoding.model, assignment)
-            decoded, raw_routes = form.decode(encoding, assignment)
-            problems = form.audit(encoding, decoded, raw_routes)
+            decoded, audited = form.decode(encoding, assignment)
+            problems = form.audit(encoding, decoded, audited)
             value = xi(decoded, encoding.instance)
             if abs(objective - value) > OBJECTIVE_TOL * max(1.0, abs(value)):
                 raise ObjectiveMismatch(
@@ -488,7 +488,9 @@ def bench(samples: list[TsplibSample], k_list: list[float], m_list: list[int],
     means the same in each. A failed cell is recorded and the run goes on.
     An unknown formulation, or an axis naming one value twice (a sample by
     its NAME, a k, an m, or a formulation under any alias), is refused with
-    a ValueError before any cell runs."""
+    a ValueError before any cell runs, as is an empty m list."""
+    if not m_list:
+        raise ValueError("m_list is empty")
     forms = [formulation(name) for name in formulations]
     for axis, values in (("sample", [sample.name for sample in samples]),
                          ("m", m_list), ("formulation", [f.name for f in forms])):

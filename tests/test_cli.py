@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import re
 import sys
 
 import pytest
@@ -217,9 +218,23 @@ class TestInputErrors:
         assert main(self.bench_args("--m", "two")) == 2
         one_reason_line(capsys, "bad m list 'two'")
 
-    def test_bench_m_zero(self, capsys):
-        assert main(self.bench_args("--m", "0")) == 2
-        one_reason_line(capsys, "m must be >= 1")
+    @pytest.mark.parametrize("m, reason", [("0", "m must be >= 1"),
+                                           (",", "m_list is empty")],
+                             ids=["zero", "empty"])
+    def test_bench_bad_m_list(self, m, reason, capsys):
+        assert main(self.bench_args("--m", m)) == 2
+        one_reason_line(capsys, reason)
+
+    @pytest.mark.parametrize("name", ["../escaped", "a/b"])
+    def test_gen_refuses_a_sample_name_that_is_a_path(self, name, tmp_path, capsys):
+        with open(data_path("burma14.tsp")) as fh:
+            text = fh.read()
+        path = tmp_path / "named.tsp"
+        path.write_text(re.sub(r"(?m)^NAME.*$", f"NAME : {name}", text, count=1))
+        assert main(["gen", "--tsplib", str(path), "--k", "1", "--m", "2", "--seed", "0",
+                     "--out", str(tmp_path / "out")]) == 2
+        one_reason_line(capsys, f"sample name {name!r} is not a file name")
+        assert [p.name for p in tmp_path.rglob("*")] == ["named.tsp"]
 
     @pytest.mark.parametrize("k, m, reason", [
         ("1,1,2", "2", "k=1 is given twice"),

@@ -4,25 +4,51 @@ import hashlib
 import pytest
 
 from conftest import columns_of
-from ppdsp.core import TruckPlan, validate_solution
+from ppdsp.core import TruckPlan, validate_solution, xi
 from ppdsp.enc_location import DecodeError, encode_location, x_name
-from ppdsp.enc_request import (build_graph_map, decode_request, encode_request,
-                               predicted_counts_request, request_graph_solution)
+from ppdsp.enc_request import (decode_request, encode_request, predicted_counts_request,
+                               request_graph)
 from ppdsp.instgen import generate_family, grid_instance
 from ppdsp.mipir import census, emit_lp
 
 
-class TestGraphMap:
+class TestRequestGraphLayout:
     def test_layout(self, golden_instance):
-        gmap = build_graph_map(golden_instance)
-        assert gmap.num_nodes == 8
-        # pickups 1..3 carry +q, dropoffs 4..6 carry -q, depots carry 0
-        assert gmap.location_of == (0, 1, 1, 2, 3, 2, 3, 0)
-        assert gmap.volume_of == (0, 4, 2, 1, -4, -2, -1, 0)
-        assert gmap.is_pickup(2) and gmap.is_dropoff(5)
-        assert gmap.request_of(2) == 1 and gmap.request_of(5) == 1
-        with pytest.raises(ValueError):
-            gmap.request_of(0)
+        graph, location_of = request_graph(golden_instance)
+        assert graph.graph.num_nodes == 8
+        assert location_of == (0, 1, 1, 2, 3, 2, 3, 0)
+        # request r runs from pickup node r+1 to dropoff node r+n+1
+        assert [(r.pickup, r.dropoff) for r in graph.requests] == [(1, 4), (2, 5), (3, 6)]
+        assert [(r.w, r.q) for r in graph.requests] == \
+            [(r.w, r.q) for r in golden_instance.requests]
+        # pickups 1..3 load +q (h from q up), dropoffs 4..6 unload (h up to
+        # capacity 6 - q), depots carry 0
+        model = encode_request(golden_instance).model
+        boxes = [(h.lower, h.upper) for h in (columns_of(model, f"h_t0_v{v}")
+                                              for v in range(8))]
+        assert boxes == [(0, 6), (4, 6), (2, 6), (1, 6), (0, 2), (0, 4), (0, 5), (0, 6)]
+
+    @pytest.mark.parametrize("name", ["golden", "burma14-k3-m2"])
+    def test_arc_costs_read_at_the_locations(self, name, request):
+        instance = TestLpBytes.INSTANCES[name](request)
+        graph, location_of = request_graph(instance)
+        nodes = range(graph.graph.num_nodes)
+        for t, graph_truck in zip(instance.trucks, graph.trucks):
+            assert [[graph.arc_cost(graph_truck, o, d) for d in nodes] for o in nodes] == \
+                [[instance.arc_cost(t, location_of[o], location_of[d]) for d in nodes]
+                 for o in nodes]
+
+    @pytest.mark.parametrize("name, paths", [
+        ("golden", {0: (0, 1, 2, 5, 4, 7), 1: (0, 3, 6, 7)}),
+        ("golden", {0: (0, 2, 5, 7), 1: (0, 7)}),
+        ("burma14-k3-m2", {0: (0, 1, 2, 21, 22, 41), 1: (0, 3, 23, 41)}),
+    ])
+    def test_xi_over_the_graph_is_xi_over_the_instance(self, name, paths, request):
+        instance = TestLpBytes.INSTANCES[name](request)
+        encoding = encode_request(instance)
+        solution, graph_solution = decode_request(encoding,
+                                                  assignment_for_paths(encoding, paths))
+        assert xi(graph_solution, encoding.graph) == pytest.approx(xi(solution, instance))
 
 
 class TestCensus:
@@ -134,20 +160,20 @@ class TestDecode:
         # t0 serves r0,r1 (pickup nodes 1,2 co-located at a), t1 serves r2
         values = assignment_for_paths(encoding, {0: (0, 1, 2, 5, 4, 7),
                                                  1: (0, 3, 6, 7)})
-        solution, raw = decode_request(encoding, values)
+        solution, graph_solution = decode_request(encoding, values)
         p0 = solution.plan_for(0)
         assert p0.delivery == frozenset({0, 1})
         assert p0.route == (0, 1, 2, 3, 0)  # nodes 1,2 collapse to location a
-        assert raw[0] == (0, 1, 2, 5, 4, 7)
+        assert graph_solution.plan_for(0).route == (0, 1, 2, 5, 4, 0)
         p1 = solution.plan_for(1)
         assert p1.delivery == frozenset({2}) and p1.route == (0, 2, 3, 0)
 
     def test_idle_truck_direct_drive(self, golden_instance):
         encoding = encode_request(golden_instance)
         values = assignment_for_paths(encoding, {0: (0, 7), 1: (0, 7)})
-        solution, raw = decode_request(encoding, values)
+        solution, graph_solution = decode_request(encoding, values)
         assert solution.plan_for(0).route == ()
-        assert raw[0] == (0, 7)
+        assert graph_solution.plan_for(0).route == ()
 
     def test_missing_departure_rejected(self, golden_instance):
         encoding = encode_request(golden_instance)
@@ -173,14 +199,12 @@ class TestDecode:
 class TestRequestGraph:
     def test_raw_paths_over_the_request_graph(self, golden_instance):
         encoding = encode_request(golden_instance)
-        solution, graph = request_graph_solution(encoding, {0: (0, 1, 2, 5, 4, 7),
-                                                            1: (0, 7)})
+        _, solution = decode_request(encoding, assignment_for_paths(
+            encoding, {0: (0, 1, 2, 5, 4, 7), 1: (0, 7)}))
+        graph = encoding.graph
         coords = golden_instance.graph.coords
         assert graph.graph.coords == tuple(coords[v] for v in (0, 1, 1, 2, 3, 2, 3, 0))
-        assert [(r.pickup, r.dropoff) for r in graph.requests] == [(1, 4), (2, 5), (3, 6)]
-        assert [(r.w, r.q) for r in graph.requests] == \
-            [(r.w, r.q) for r in golden_instance.requests]
-        assert [(t.capacity, t.cost_matrix) for t in graph.trucks] == [(6, None), (3, None)]
+        assert [t.capacity for t in graph.trucks] == [6, 3]
         # the end depot 7 becomes depot 0; an idle truck has no route
         assert solution.plans == (TruckPlan(0, frozenset({0, 1}), (0, 1, 2, 5, 4, 0)),
                                   TruckPlan(1, frozenset(), ()))
@@ -188,13 +212,15 @@ class TestRequestGraph:
 
     def test_a_dropoff_alone_misses_its_pickup(self, golden_instance):
         encoding = encode_request(golden_instance)
-        solution, graph = request_graph_solution(encoding, {0: (0, 4, 7), 1: (0, 7)})
+        _, solution = decode_request(encoding, assignment_for_paths(
+            encoding, {0: (0, 4, 7), 1: (0, 7)}))
         assert solution.plans[0].delivery == frozenset({0})
-        assert [str(v) for v in validate_solution(solution, graph).violations] == \
+        assert [str(v) for v in validate_solution(solution, encoding.graph).violations] == \
             ["MissingNode(1)"]
 
     def test_an_instance_without_requests_audits(self, golden_instance):
         encoding = encode_request(dataclasses.replace(golden_instance, requests=()))
-        solution, graph = request_graph_solution(encoding, {0: (0, 1), 1: (0, 1)})
-        assert graph.graph.num_nodes == 2
-        assert validate_solution(solution, graph).ok
+        _, solution = decode_request(encoding, assignment_for_paths(
+            encoding, {0: (0, 1), 1: (0, 1)}))
+        assert encoding.graph.graph.num_nodes == 2
+        assert validate_solution(solution, encoding.graph).ok
